@@ -36,6 +36,15 @@
 //! pays a full Dijkstra per row to serve the next read. Repair must come
 //! out ≥ 5× faster per tick — that gap is what retired ROADMAP open
 //! item 1's "~200 ms/tick of invalidate-and-recompute" bottleneck.
+//!
+//! The **pair_query** group prices one point-to-point latency read at 10k
+//! nodes three ways: `LazyLatency::pair` bounded by 64 resident landmark
+//! rows (ALT), the same search with no landmarks (a plain Dijkstra that
+//! stops at the target), and the cold `single_source` row a `latency()`
+//! miss computes. Every iteration asks a fresh pair, so the pair cache
+//! never answers. Representative run (release, 2-vCPU container): ALT
+//! 0.21 ms per pair (422 vertices settled), early exit 2.7 ms (6,006
+//! settled), cold row 3.4 ms.
 
 // Bench harness: wall-clock timing is the measurement itself.
 #![allow(clippy::disallowed_methods)]
@@ -55,6 +64,7 @@ use sbon_core::placement::{
 use sbon_core::reopt::relevance::{ReadSet, RelevanceIndex, ReoptKind};
 use sbon_core::reopt::{reoptimize_rewrite, ReoptPolicy};
 use sbon_dht::{DhtConfig, DhtRing, ProtoConfig, RingKey};
+use sbon_netsim::dijkstra::single_source;
 use sbon_netsim::graph::{EdgeId, NodeId};
 use sbon_netsim::latency::LatencyProvider;
 use sbon_netsim::lazy::{DeltaPolicy, LazyLatency};
@@ -300,6 +310,52 @@ fn bench_row_repair(c: &mut Criterion) {
         });
     }
     group.finish();
+}
+
+/// One exact point-to-point latency read at 10k nodes: ALT pair search over
+/// 64 landmark rows vs the same search unbounded vs a cold full row. The
+/// `i`-th pair is a fixed hash of `i`, so pairs practically never repeat
+/// within the pair cache's lifetime and every `pair` call searches.
+fn bench_pair_query(c: &mut Criterion) {
+    let n = 10_000usize;
+    let topo = generate(&TransitStubConfig::with_total_nodes(n), n as u64);
+    let mut rng = derive_rng(n as u64, 0x9a12);
+    let landmarks: Vec<NodeId> = (0..64).map(|_| NodeId(rng.gen_range(0..n as u32))).collect();
+    let pair_of = |i: u64| {
+        let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (i >> 7);
+        (NodeId((h % n as u64) as u32), NodeId(((h >> 32) % n as u64) as u32))
+    };
+    let mut alt = LazyLatency::new(topo.graph.clone());
+    alt.ensure_rows(&landmarks, None);
+    alt.set_landmarks(&landmarks);
+    let plain = LazyLatency::new(topo.graph.clone());
+
+    let mut group = c.benchmark_group(format!("pair_query_{n}_nodes"));
+    for (label, lat) in [("alt_pair_64_landmarks", &alt), ("early_exit_dijkstra", &plain)] {
+        group.bench_function(label, |b| {
+            let mut i = 0u64;
+            b.iter(|| {
+                i += 1;
+                let (a, t) = pair_of(i);
+                black_box(lat.pair(a, t))
+            })
+        });
+    }
+    group.bench_function("cold_row", |b| {
+        let mut i = 0u64;
+        b.iter(|| {
+            i += 1;
+            let (a, t) = pair_of(i);
+            black_box(single_source(&topo.graph, a)[t.index()])
+        })
+    });
+    group.finish();
+    let (s_alt, s_plain) = (alt.stats(), plain.stats());
+    println!(
+        "  vertices settled per search: alt {:.0}, early exit {:.0} (of {n})",
+        s_alt.pair_vertices_settled as f64 / s_alt.pair_queries.max(1) as f64,
+        s_plain.pair_vertices_settled as f64 / s_plain.pair_queries.max(1) as f64,
+    );
 }
 
 /// One dirty-driven re-optimization pass over 100 deployed circuits, at
@@ -577,6 +633,7 @@ criterion_group!(
     bench_control_plane,
     bench_ring_maintenance,
     bench_row_repair,
+    bench_pair_query,
     bench_reopt_pass,
     bench_routed_lookup,
     bench_vivaldi_landmarks,

@@ -6,12 +6,20 @@ use sbon_query::plan::LogicalPlan;
 
 use crate::circuit::Circuit;
 use crate::costspace::CostSpace;
-use crate::optimizer::{cost_both, OptimizerConfig, PlacedCircuit, QuerySpec};
+use crate::optimizer::{OptimizerConfig, PlacedCircuit, QuerySpec};
 use crate::placement::{map_circuit, OracleMapper, PhysicalMapper};
 
 /// Integrated plan generation + service placement: every candidate plan is
 /// virtually placed, physically mapped, and costed as a *circuit*; the
 /// cheapest circuit wins. This is the paper's contribution.
+///
+/// Candidates are costed by their cost-space estimate, which is all a
+/// decentralized optimizer can see. Ground-truth latency is read only to
+/// report the winner's measured cost, or for every candidate when
+/// `OptimizerConfig::select_by_estimate` is off (the ablations that rank by
+/// ground truth). A deploy therefore reads one circuit's links, not one per
+/// candidate, which is what lets a lazy provider answer them as one-shot
+/// pair queries.
 #[derive(Clone, Debug, Default)]
 pub struct IntegratedOptimizer {
     config: OptimizerConfig,
@@ -59,7 +67,10 @@ impl IntegratedOptimizer {
     }
 
     /// Optimizes with an explicit physical mapper (e.g. the Hilbert-DHT
-    /// mapper, which charges routing hops).
+    /// mapper, which charges routing hops). The returned circuit's `cost`
+    /// is measured on `latency`: for the winner only under the default
+    /// `select_by_estimate`, for every candidate otherwise (ranking by
+    /// ground truth needs them all).
     pub fn optimize_with_mapper(
         &self,
         query: &QuerySpec,
@@ -67,48 +78,11 @@ impl IntegratedOptimizer {
         latency: &dyn LatencyProvider,
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
-        let placer = self.config.placer.build();
-        let candidates = self.candidate_plans(query);
-        let examined = candidates.len();
-        let mut best: Option<PlacedCircuit> = None;
-
-        for plan in candidates {
-            let circuit =
-                Circuit::from_plan(&plan, &query.stats, |s| query.producer_of(s), query.consumer);
-            let vp = placer.place(&circuit, space);
-            let mapped = map_circuit(&circuit, &vp, space, mapper);
-            let (measured, estimated) = cost_both(&circuit, &mapped.placement, space, latency);
-            let candidate = PlacedCircuit {
-                plan,
-                mapping_hops: mapped.total_hops(),
-                mean_mapping_error: mapped.mean_mapping_error(),
-                placement: mapped.placement,
-                circuit,
-                cost: measured,
-                estimated,
-                candidates_examined: examined,
-            };
-            let better = match &best {
-                None => true,
-                Some(b) => {
-                    let (new, old) = if self.config.select_by_estimate {
-                        (candidate.estimated.network_usage, b.estimated.network_usage)
-                    } else {
-                        (candidate.cost.network_usage, b.cost.network_usage)
-                    };
-                    new < old
-                }
-            };
-            if better {
-                best = Some(candidate);
-            }
-        }
-        best
+        self.select(query, space, Some(latency), mapper)
     }
 
     /// [`IntegratedOptimizer::optimize_with_mapper`] without the measured
-    /// cost: candidates are costed from the cost space **estimate only** and
-    /// selection is by estimate regardless of
+    /// cost: selection is by estimate regardless of
     /// `OptimizerConfig::select_by_estimate` (there is no measured cost to
     /// select by — the returned circuit's `cost` is a copy of `estimated`).
     ///
@@ -124,9 +98,24 @@ impl IntegratedOptimizer {
         space: &CostSpace,
         mapper: &mut dyn PhysicalMapper,
     ) -> Option<PlacedCircuit> {
+        self.select(query, space, None, mapper)
+    }
+
+    /// The one candidate loop: place, map and estimate every candidate
+    /// plan, keep the cheapest, and measure on `latency` only what the
+    /// ranking or the caller needs.
+    fn select(
+        &self,
+        query: &QuerySpec,
+        space: &CostSpace,
+        latency: Option<&dyn LatencyProvider>,
+        mapper: &mut dyn PhysicalMapper,
+    ) -> Option<PlacedCircuit> {
         let placer = self.config.placer.build();
         let candidates = self.candidate_plans(query);
         let examined = candidates.len();
+        // Ranking by ground truth is the only reason to measure losers.
+        let rank_by = latency.filter(|_| !self.config.select_by_estimate);
         let mut best: Option<PlacedCircuit> = None;
 
         for plan in candidates {
@@ -136,22 +125,29 @@ impl IntegratedOptimizer {
             let mapped = map_circuit(&circuit, &vp, space, mapper);
             let estimated =
                 circuit.cost_with(&mapped.placement, |a, b| space.vector_distance(a, b));
+            let cost = match rank_by {
+                Some(l) => circuit.cost_with(&mapped.placement, |a, b| l.latency(a, b)),
+                None => estimated,
+            };
             let candidate = PlacedCircuit {
                 plan,
                 mapping_hops: mapped.total_hops(),
                 mean_mapping_error: mapped.mean_mapping_error(),
                 placement: mapped.placement,
                 circuit,
-                cost: estimated,
+                cost,
                 estimated,
                 candidates_examined: examined,
             };
-            let better = best
-                .as_ref()
-                .is_none_or(|b| candidate.estimated.network_usage < b.estimated.network_usage);
+            // `cost` is the estimate unless ranking by ground truth.
+            let better =
+                best.as_ref().is_none_or(|b| candidate.cost.network_usage < b.cost.network_usage);
             if better {
                 best = Some(candidate);
             }
+        }
+        if let (Some(l), None, Some(b)) = (latency, rank_by, best.as_mut()) {
+            b.cost = b.circuit.cost_with(&b.placement, |x, y| l.latency(x, y));
         }
         best
     }
@@ -300,6 +296,52 @@ mod tests {
             est.cost.network_usage, est.estimated.network_usage,
             "estimate-only cost is the estimate"
         );
+    }
+
+    /// Counts ground-truth reads, to pin which candidates get measured.
+    struct CountingLatency<'a>(&'a sbon_netsim::latency::LatencyMatrix, std::cell::Cell<usize>);
+
+    impl LatencyProvider for CountingLatency<'_> {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+
+        fn latency(&self, a: NodeId, b: NodeId) -> f64 {
+            self.1.set(self.1.get() + 1);
+            self.0.latency(a, b)
+        }
+    }
+
+    #[test]
+    fn measures_only_the_winner_unless_ranking_by_ground_truth() {
+        let (space, lat) = exact_world(40, 8);
+        let q = QuerySpec::join_star(
+            &[NodeId(3), NodeId(9), NodeId(17), NodeId(26)],
+            NodeId(33),
+            10.0,
+            0.02,
+        );
+        for select_by_estimate in [true, false] {
+            let opt = IntegratedOptimizer::new(OptimizerConfig {
+                select_by_estimate,
+                ..Default::default()
+            });
+            let counting = CountingLatency(&lat, std::cell::Cell::new(0));
+            let placed =
+                opt.optimize_with_mapper(&q, &space, &counting, &mut OracleMapper).unwrap();
+            let reads = counting.1.get();
+            // Every candidate of a 4-way join star has the same links, so
+            // one costing reads the same count whichever circuit it is.
+            let once = CountingLatency(&lat, std::cell::Cell::new(0));
+            let truth = placed.circuit.cost_with(&placed.placement, |a, b| once.latency(a, b));
+            let per_circuit = once.1.get();
+            if select_by_estimate {
+                assert_eq!(reads, per_circuit, "only the winner is measured");
+            } else {
+                assert_eq!(reads, per_circuit * placed.candidates_examined, "all measured");
+            }
+            assert_eq!(placed.cost.network_usage, truth.network_usage);
+        }
     }
 
     #[test]

@@ -57,6 +57,47 @@
 //! row the change could affect, recompute on next query — as a baseline
 //! for benchmarks and differential tests.
 //!
+//! # Pair queries
+//!
+//! A row pays off only when reads out of its source repeat: once resident
+//! it is repaired on every delta batch whether or not anyone reads it
+//! again. [`LazyLatency::pair`] answers one `(a, b)` pair **without
+//! inserting a row**, in this order:
+//!
+//! 1. from `a`'s row, when it is resident;
+//! 2. from the pair cache, which holds earlier search answers and is
+//!    cleared on every effective delta batch (and wholesale once it
+//!    reaches a fixed bound) — a stale entry can never be served;
+//! 3. by an A* search from `a` that stops at `b`, bounded below by the
+//!    triangle inequality over resident rows (ALT: A*, landmarks,
+//!    triangle inequality). When `b`'s own row is resident it is the
+//!    bound (`d(v, b) ≥ row_b[v]`). Otherwise the bound is the largest
+//!    `|d(ℓ, b) − d(ℓ, v)|` over a few *active* landmarks — the resident
+//!    rows of the sources named by [`LazyLatency::set_landmarks`] whose
+//!    bound at the source, `|d(ℓ, b) − d(ℓ, a)|`, is largest. A landmark
+//!    that reaches exactly one of `a` and `b` proves `b` unreachable.
+//!
+//! The search is **exact**, bit for bit: it returns the same fold-left
+//! minimum [`single_source`] stores at `row_a[b]`. The bound subtracts
+//! `TIGHT_EPS_MS` (1e-9 ms) so it stays below the true remaining distance
+//! under float rounding (admissible), the search re-opens a vertex whenever its
+//! label improves, and it stops only when the smallest key in the heap is
+//! `≥` the best label found for `b`. Suppose `b`'s label were still above
+//! the optimum `D(b)`. Take an optimal path and its last vertex `x` whose
+//! label is at most the path's prefix sum there: `x` has not been expanded
+//! with that label (else its successor would be no worse), so an entry
+//! with key `≤ prefix(x) + bound(x) ≤ D(b) <` label of `b` is still in the
+//! heap, and the search would not have stopped. Labels are fold-left path
+//! sums, so the final label is exactly `D(b)`. The property suite in
+//! `tests/properties.rs` pins this against [`single_source`] across tied
+//! and jittered weights, delta batches, unreachable pairs and evicted
+//! landmarks.
+//!
+//! Rows therefore stay resident only where reads repeat: the landmarks
+//! (every join-time placement and every pair bound reads them), sources
+//! pinned by [`LazyLatency::ensure_rows`], and the sources of
+//! [`LatencyProvider::latency`] calls, which keep inserting rows as before.
+//!
 //! # Memory bound
 //!
 //! [`LazyLatency::with_capacity`] caps the number of resident rows with
@@ -66,7 +107,10 @@
 //! [`LazyLatency::ensure_rows`] batch-computes missing rows — optionally
 //! sharded across a thread pool, with insertion order (and therefore FIFO
 //! order, statistics, and every served value) independent of the thread
-//! count.
+//! count. Pair queries add `O(n)` search scratch and a pair cache of at
+//! most `PAIR_CACHE_CAP` (65,536) entries, and never insert a row. An
+//! evicted landmark simply stops contributing to the bound until it is
+//! resident again.
 
 use std::cell::RefCell;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -78,9 +122,20 @@ use crate::graph::{EdgeId, Graph, NodeId};
 use crate::latency::LatencyProvider;
 
 /// Absolute slack (ms) used when testing whether an edge is tight on a
-/// cached shortest-path row. Latencies are milliseconds-scale, so this is
-/// far below any real tie yet far above accumulated float error.
+/// cached shortest-path row, and subtracted from pair-search bounds to keep
+/// them admissible. Latencies are milliseconds-scale, so this is far below
+/// any real tie yet far above accumulated float error.
 const TIGHT_EPS_MS: f64 = 1e-9;
+
+/// Landmarks whose bounds a pair search combines: those with the largest
+/// bound at the source. More landmarks tighten the bound at every vertex
+/// but cost a row read each. On the benchmark's wave tiers (64 and 32
+/// landmarks, 2-vCPU host) two active landmarks made ticks 20–60% slower
+/// than eight, and twelve or sixteen bought nothing more.
+const ACTIVE_LANDMARKS: usize = 8;
+
+/// Pair-cache entries kept before the cache is cleared wholesale.
+const PAIR_CACHE_CAP: usize = 1 << 16;
 
 /// How a [`LazyLatency`] reacts to edge-weight deltas.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -100,7 +155,8 @@ pub enum DeltaPolicy {
 pub struct LazyLatencyStats {
     /// Dijkstra rows computed (cache misses and [`LazyLatency::ensure_rows`]).
     pub rows_computed: u64,
-    /// Queries answered from a cached row.
+    /// Queries answered from a cached row: [`LatencyProvider::latency`]
+    /// hits and [`LazyLatency::pair`] reads of a resident source row.
     pub cache_hits: u64,
     /// Rows dropped because an edge mutation made them stale (only under
     /// [`DeltaPolicy::Invalidate`]).
@@ -120,6 +176,12 @@ pub struct LazyLatencyStats {
     pub rows_rebuilt: u64,
     /// Rows currently resident.
     pub rows_cached: usize,
+    /// [`LazyLatency::pair`] calls, however they were answered.
+    pub pair_queries: u64,
+    /// Pair queries answered from the pair cache.
+    pub pair_cache_hits: u64,
+    /// Vertices expanded by pair searches.
+    pub pair_vertices_settled: u64,
 }
 
 struct RowCache {
@@ -190,6 +252,145 @@ impl RepairScratch {
     }
 }
 
+/// A* heap entry: ordered by `key = label + bound` (smallest first), then
+/// node id; `label` detects entries superseded by a later improvement.
+#[derive(PartialEq)]
+struct SearchEntry {
+    key: f64,
+    label: f64,
+    node: NodeId,
+}
+
+impl Eq for SearchEntry {}
+
+impl Ord for SearchEntry {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.key.total_cmp(&self.key).then_with(|| other.node.0.cmp(&self.node.0))
+    }
+}
+
+impl PartialOrd for SearchEntry {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// Pair-query state: the answer cache, reusable search scratch, counters.
+#[derive(Default)]
+struct PairState {
+    // sbon-lint: allow(unordered-iteration): point lookups by (a, b); the
+    // cache is only ever cleared, never iterated.
+    cache: HashMap<(u32, u32), f64>,
+    /// `seen[v] == epoch` ⇔ `label[v]` and `bound[v]` belong to this search.
+    seen: Vec<u64>,
+    epoch: u64,
+    label: Vec<f64>,
+    bound: Vec<f64>,
+    heap: BinaryHeap<SearchEntry>,
+    /// `(bound at the source, landmark)` candidates of the current query.
+    active: Vec<(f64, NodeId)>,
+    queries: u64,
+    cache_hits: u64,
+    vertices_settled: u64,
+}
+
+impl PairState {
+    /// Exact `a → b` distance by A* from `a` (`a ≠ b`); see the
+    /// [module docs](self) for the bound and the exactness argument.
+    fn search(
+        &mut self,
+        graph: &Graph,
+        rows: &[Option<Box<[f64]>>],
+        landmarks: &[NodeId],
+        a: NodeId,
+        b: NodeId,
+    ) -> f64 {
+        let target = rows[b.index()].as_deref();
+        let mut bounds: [(&[f64], f64); ACTIVE_LANDMARKS] = [(&[], 0.0); ACTIVE_LANDMARKS];
+        let mut k = 0;
+        match target {
+            Some(row) if row[a.index()].is_infinite() => return f64::INFINITY,
+            Some(_) => {}
+            None => {
+                self.active.clear();
+                for &l in landmarks {
+                    let Some(row) = rows[l.index()].as_deref() else { continue };
+                    let (dla, dlb) = (row[a.index()], row[b.index()]);
+                    match (dla.is_finite(), dlb.is_finite()) {
+                        (true, true) => self.active.push(((dlb - dla).abs(), l)),
+                        (false, false) => {}
+                        // The landmark reaches one endpoint but not the
+                        // other: they lie in different components.
+                        _ => return f64::INFINITY,
+                    }
+                }
+                // Stable: equal bounds keep node-id order.
+                self.active.sort_by(|x, y| y.0.total_cmp(&x.0));
+                for &(_, l) in self.active.iter().take(ACTIVE_LANDMARKS) {
+                    let row = rows[l.index()].as_deref().expect("active landmarks are resident");
+                    bounds[k] = (row, row[b.index()]);
+                    k += 1;
+                }
+            }
+        }
+        let bounds = &bounds[..k];
+        let lower_bound = |v: usize| -> f64 {
+            let raw = match target {
+                Some(row) => row[v],
+                None => bounds.iter().fold(0.0, |m: f64, &(row, dlb)| m.max((dlb - row[v]).abs())),
+            };
+            (raw - TIGHT_EPS_MS).max(0.0)
+        };
+
+        let n = graph.num_nodes();
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.label.resize(n, f64::INFINITY);
+            self.bound.resize(n, 0.0);
+        }
+        self.epoch += 1;
+        let epoch = self.epoch;
+        let mut best = f64::INFINITY;
+        self.seen[a.index()] = epoch;
+        self.label[a.index()] = 0.0;
+        self.bound[a.index()] = lower_bound(a.index());
+        self.heap.push(SearchEntry { key: self.bound[a.index()], label: 0.0, node: a });
+        while let Some(SearchEntry { key, label: d, node: v }) = self.heap.pop() {
+            if key >= best {
+                break;
+            }
+            if d > self.label[v.index()] {
+                continue; // superseded by a later improvement
+            }
+            self.vertices_settled += 1;
+            for (u, w) in graph.neighbors(v) {
+                let ui = u.index();
+                if self.seen[ui] != epoch {
+                    self.seen[ui] = epoch;
+                    self.label[ui] = f64::INFINITY;
+                    self.bound[ui] = lower_bound(ui);
+                }
+                let nd = d + w;
+                if nd < self.label[ui] {
+                    self.label[ui] = nd;
+                    if u == b {
+                        best = nd;
+                        continue; // expanding b cannot shorten a path to b
+                    }
+                    let key = nd + self.bound[ui];
+                    // An entry keyed at or above `best` could only trigger
+                    // the stop test; dropping it changes nothing.
+                    if key < best {
+                        self.heap.push(SearchEntry { key, label: nd, node: u });
+                    }
+                }
+            }
+        }
+        self.heap.clear();
+        best
+    }
+}
+
 /// One edge-weight change, resolved against the pre-batch graph.
 #[derive(Clone, Copy)]
 struct EdgeDelta {
@@ -226,6 +427,9 @@ pub struct LazyLatency {
     policy: DeltaPolicy,
     scratch: RepairScratch,
     cache: RefCell<RowCache>,
+    /// Sources whose resident rows bound pair searches.
+    landmarks: Vec<NodeId>,
+    pair: RefCell<PairState>,
 }
 
 impl LazyLatency {
@@ -250,6 +454,8 @@ impl LazyLatency {
             policy: DeltaPolicy::default(),
             scratch: RepairScratch::default(),
             cache: RefCell::new(RowCache::new(n)),
+            landmarks: Vec::new(),
+            pair: RefCell::new(PairState::default()),
         }
     }
 
@@ -263,6 +469,43 @@ impl LazyLatency {
     /// The active delta policy.
     pub fn delta_policy(&self) -> DeltaPolicy {
         self.policy
+    }
+
+    /// Names the sources whose rows bound [`LazyLatency::pair`] searches
+    /// (duplicates ignored). Only rows resident at query time contribute;
+    /// keep them resident with [`LazyLatency::ensure_rows`].
+    pub fn set_landmarks(&mut self, landmarks: &[NodeId]) {
+        self.landmarks = landmarks.to_vec();
+        self.landmarks.sort_unstable();
+        self.landmarks.dedup();
+    }
+
+    /// Exact shortest-path latency `a → b`, bit-identical to
+    /// `single_source(graph, a)[b]`, without inserting a row. Answers from
+    /// `a`'s resident row, else the pair cache, else an ALT-bounded A*
+    /// search (see the [module docs](self#pair-queries)).
+    pub fn pair(&self, a: NodeId, b: NodeId) -> f64 {
+        let mut state = self.pair.borrow_mut();
+        state.queries += 1;
+        let mut cache = self.cache.borrow_mut();
+        if let Some(row) = cache.rows[a.index()].as_deref() {
+            let value = row[b.index()];
+            cache.cache_hits += 1;
+            return value;
+        }
+        if a == b {
+            return 0.0;
+        }
+        if let Some(&value) = state.cache.get(&(a.0, b.0)) {
+            state.cache_hits += 1;
+            return value;
+        }
+        let value = state.search(&self.graph, &cache.rows, &self.landmarks, a, b);
+        if state.cache.len() >= PAIR_CACHE_CAP {
+            state.cache.clear();
+        }
+        state.cache.insert((a.0, b.0), value);
+        value
     }
 
     /// The underlying (possibly mutated) topology graph.
@@ -333,6 +576,7 @@ impl LazyLatency {
         if net.is_empty() {
             return;
         }
+        self.pair.get_mut().cache.clear();
         match self.policy {
             DeltaPolicy::Invalidate => {
                 for d in &net {
@@ -404,6 +648,7 @@ impl LazyLatency {
     /// Usage counters so far.
     pub fn stats(&self) -> LazyLatencyStats {
         let cache = self.cache.borrow();
+        let pair = self.pair.borrow();
         LazyLatencyStats {
             rows_computed: cache.rows_computed,
             cache_hits: cache.cache_hits,
@@ -413,6 +658,9 @@ impl LazyLatency {
             vertices_settled: cache.vertices_settled,
             rows_rebuilt: cache.rows_rebuilt,
             rows_cached: cache.order.len(),
+            pair_queries: pair.queries,
+            pair_cache_hits: pair.cache_hits,
+            pair_vertices_settled: pair.vertices_settled,
         }
     }
 

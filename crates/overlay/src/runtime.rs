@@ -1050,7 +1050,7 @@ enum LatencyState {
     Dense { current: LatencyMatrix, graph: Graph, base_edges: Vec<f64> },
     /// Demand-driven rows; the provider carries its own graph and base
     /// edge weights, and repairs cached rows in place on edge deltas.
-    Lazy(LazyLatency),
+    Lazy(Box<LazyLatency>),
 }
 
 impl LatencyState {
@@ -1058,13 +1058,32 @@ impl LatencyState {
     fn provider(&self) -> &dyn LatencyProvider {
         match self {
             LatencyState::Dense { current, .. } => current,
-            LatencyState::Lazy(lazy) => lazy,
+            LatencyState::Lazy(lazy) => &**lazy,
         }
     }
 
-    /// Ground-truth latency between two nodes.
-    fn query(&self, a: NodeId, b: NodeId) -> f64 {
-        self.provider().latency(a, b)
+    /// Ground-truth latency between two nodes, for one-shot readers: the
+    /// lazy backend answers without making `a`'s row resident
+    /// ([`LazyLatency::pair`]); the value is the one `provider()` serves.
+    fn pair(&self, a: NodeId, b: NodeId) -> f64 {
+        match self {
+            LatencyState::Dense { current, .. } => current.latency(a, b),
+            LatencyState::Lazy(lazy) => lazy.pair(a, b),
+        }
+    }
+}
+
+/// [`LatencyState::pair`] behind the provider trait, for callers that
+/// read each pair once (the deploy winner's measured cost).
+struct PairReads<'a>(&'a LatencyState);
+
+impl LatencyProvider for PairReads<'_> {
+    fn len(&self) -> usize {
+        self.0.provider().len()
+    }
+
+    fn latency(&self, a: NodeId, b: NodeId) -> f64 {
+        self.0.pair(a, b)
     }
 }
 
@@ -1151,8 +1170,6 @@ pub struct OverlayRuntime {
     latency: LatencyState,
     attrs: NodeAttrs,
     space: CostSpace,
-    #[allow(dead_code)]
-    embedding: VivaldiEmbedding,
     /// Frozen landmark set for join-time Vivaldi placement; `Some` iff the
     /// deployment is a wave and landmark mode is active with `k < n`.
     placer: Option<LandmarkPlacer>,
@@ -1214,7 +1231,7 @@ impl OverlayRuntime {
                 })
             }
         };
-        let latency = match config.latency_backend {
+        let mut latency = match config.latency_backend {
             LatencyBackend::Dense => {
                 let graph = topology.graph.clone();
                 let base_edges = graph.edges().iter().map(|e| e.latency_ms).collect();
@@ -1223,10 +1240,10 @@ impl OverlayRuntime {
             }
             LatencyBackend::Lazy => {
                 let graph = topology.graph.clone();
-                LatencyState::Lazy(match config.lazy_row_cache {
+                LatencyState::Lazy(Box::new(match config.lazy_row_cache {
                     Some(cap) => LazyLatency::with_capacity(graph, cap),
                     None => LazyLatency::new(graph),
-                })
+                }))
             }
         };
         // Membership bring-up: everyone at once, or an initial subset with
@@ -1256,13 +1273,15 @@ impl OverlayRuntime {
         };
         let (embedding, placer) = match landmark_draw {
             Some(landmark_ids) => {
-                if let LatencyState::Lazy(lazy) = &latency {
+                if let LatencyState::Lazy(lazy) = &mut latency {
                     // The landmark rows are the only latency sources the
                     // protocol and every placement read; compute them in
-                    // parallel up front and keep them resident.
+                    // parallel up front and keep them resident. They also
+                    // bound every pair query.
                     let sources: Vec<NodeId> =
                         landmark_ids.iter().map(|&i| NodeId(i as u32)).collect();
                     lazy.ensure_rows(&sources, pool.as_ref());
+                    lazy.set_landmarks(&sources);
                 }
                 let placer = config.vivaldi.embed_landmarks_only(&latency.provider(), seed);
                 let dims = config.vivaldi.dims;
@@ -1296,8 +1315,9 @@ impl OverlayRuntime {
                 let embedding = config.vivaldi.embed(&latency.provider(), seed);
                 if let LatencyState::Lazy(lazy) = &latency {
                     // The embedding touched every row once; the steady
-                    // state only reads rows of circuit hosts, so free the
-                    // warm-up cache.
+                    // state reads circuit links as pair queries (and the
+                    // multiquery path's host rows), so free the warm-up
+                    // cache.
                     lazy.evict_all();
                 }
                 (embedding, None)
@@ -1335,6 +1355,11 @@ impl OverlayRuntime {
                 ))
             }
         };
+        if let (LatencyState::Lazy(lazy), MapperState::Routed(m)) = (&latency, &mapper) {
+            // Every settled lookup is issued from the coordinator, so each
+            // message prices a hop out of its row: keep it resident.
+            lazy.ensure_rows(&[m.coordinator()], None);
+        }
         let multiquery = match config.reuse {
             ReuseScope::None => None,
             _ => Some(MultiQueryOptimizer::new(OptimizerConfig::default())),
@@ -1347,7 +1372,6 @@ impl OverlayRuntime {
             latency,
             attrs,
             space,
-            embedding,
             placer,
             pool,
             circuits: Vec::new(),
@@ -1725,8 +1749,8 @@ impl OverlayRuntime {
             let rs = m.routed_stats();
             (rs.messages, rs.lookups, rs.registrations, rs.timeouts)
         };
-        let provider = self.latency.provider();
-        let link = |a: u32, b: u32| provider.latency(NodeId(a), NodeId(b));
+        let latency = &self.latency;
+        let link = |a: u32, b: u32| latency.pair(NodeId(a), NodeId(b));
         m.settle(at, &link);
         let (msgs, lookups, regs, timeouts) = {
             let rs = m.routed_stats();
@@ -1751,33 +1775,6 @@ impl OverlayRuntime {
         }
     }
 
-    /// Demand-computes every shortest-path row the next usage accounting
-    /// pass will read — the upstream endpoint of each charged link — in
-    /// parallel across the worker pool when one is active. A no-op under
-    /// the dense backend and for rows already resident. Row *computation*
-    /// is pure and order-free; insertion happens on this thread in
-    /// first-occurrence order, so cache state and all served values are
-    /// identical at any thread count.
-    fn prewarm_usage_rows(&self) {
-        let LatencyState::Lazy(lazy) = &self.latency else { return };
-        let mut sources: Vec<NodeId> = Vec::new();
-        for d in &self.circuits {
-            for l in d.circuit.links() {
-                if !d.shared.get(l.to.index()).copied().unwrap_or(false) {
-                    sources.push(d.placement.node_of(l.from));
-                }
-            }
-        }
-        for r in &self.retained {
-            for (l, &charged) in r.circuit.links().iter().zip(&r.charge) {
-                if charged {
-                    sources.push(r.placement.node_of(l.from));
-                }
-            }
-        }
-        lazy.ensure_rows(&sources, self.pool.as_ref());
-    }
-
     /// Current instantaneous network usage: every live circuit's *charged*
     /// links (marginal links under reuse — links paid for by a reused
     /// instance's owner are skipped) plus the links of retained shared
@@ -1795,7 +1792,7 @@ impl OverlayRuntime {
                         l.rate
                             * self
                                 .latency
-                                .query(d.placement.node_of(l.from), d.placement.node_of(l.to))
+                                .pair(d.placement.node_of(l.from), d.placement.node_of(l.to))
                     })
                     .sum::<f64>()
             })
@@ -1813,7 +1810,7 @@ impl OverlayRuntime {
                         l.rate
                             * self
                                 .latency
-                                .query(r.placement.node_of(l.from), r.placement.node_of(l.to))
+                                .pair(r.placement.node_of(l.from), r.placement.node_of(l.to))
                     })
                     .sum::<f64>()
             })
@@ -1874,7 +1871,7 @@ impl OverlayRuntime {
                 let placed = self.optimizer.optimize_with_mapper(
                     &query,
                     &self.space,
-                    self.latency.provider(),
+                    &PairReads(&self.latency),
                     self.mapper.as_dyn(),
                 )?;
                 self.obs.registry.gauge_add(self.obs.h.marginal_usage, placed.cost.network_usage);
@@ -2064,12 +2061,10 @@ impl OverlayRuntime {
                 // message traffic over the *current* (possibly jittered)
                 // latencies.
                 self.settle_routed(now);
-                // Accrue usage over the elapsed tick (usage·seconds). The
-                // prewarm shards the tick's missing shortest-path rows
-                // across the pool; the accounting pass then reads cached
-                // rows only, so both phases bill to `usage_ns`.
+                // Accrue usage over the elapsed tick (usage·seconds). Each
+                // charged link is one pair read, answered without making
+                // its source row resident.
                 let t_usage = WallTimer::start();
-                self.prewarm_usage_rows();
                 let usage = self.instantaneous_usage();
                 self.obs.registry.inc(self.obs.h.usage_ns, t_usage.elapsed_ns());
                 let active = self.circuits.len();
@@ -2823,6 +2818,10 @@ mod tests {
                 },
             );
             rt.deploy(demo_query(&topo)).unwrap();
+            // Usage accounting reads pairs without making rows resident;
+            // an inspection read pins one row for jitter to repair.
+            let hosts = topo.host_candidates();
+            rt.latency().latency(hosts[40], hosts[0]);
             let report = rt.run();
             let stats = rt.lazy_latency_stats().expect("lazy backend exposes stats");
             (report, stats)
@@ -2841,6 +2840,8 @@ mod tests {
             "edge jitter must repair cached rows in place"
         );
         assert_eq!(sa.rows_invalidated, 0, "the repair policy never drops rows on deltas");
+        assert_eq!(sa.rows_cached, 1, "usage accounting must not make rows resident");
+        assert!(sa.pair_queries > 0, "usage accounting reads pairs");
     }
 
     #[test]
@@ -3428,7 +3429,7 @@ mod tests {
 
     /// The tentpole determinism contract: a run on an 8-thread pool is
     /// bit-identical to a serial run, across seeds, with every parallel
-    /// stage active (row prewarm, scalar refresh, landmark placement wave,
+    /// stage active (scalar refresh, landmark placement wave,
     /// jitter-driven row repair).
     #[test]
     fn parallel_run_is_bit_identical_to_serial() {
@@ -3577,13 +3578,14 @@ mod tests {
     #[test]
     fn routed_backend_run_is_bit_identical_to_dht_backend() {
         let topo = small_world(50);
-        let run = |backend| {
+        let run = |backend, latency| {
             let mut rt = OverlayRuntime::new(
                 &topo,
                 50,
                 RuntimeConfig::builder()
                     .horizon_ms(10_000.0)
                     .mapper_backend(backend)
+                    .latency_backend(latency)
                     .churn(ChurnProcess::SparseWalk { nodes_per_tick: 8, std_dev: 0.15 })
                     .latency_jitter(JitterModel { edges_per_tick: 25, ..Default::default() })
                     .reopt_interval_ms(2_000.0)
@@ -3592,13 +3594,29 @@ mod tests {
             let handle = rt.deploy(demo_query(&topo)).unwrap();
             let report = rt.run();
             let placement = rt.placement(handle).cloned();
-            (report, placement, rt.control_plane_stats())
+            (report, placement, rt.control_plane_stats(), rt.lazy_latency_stats())
         };
-        let (dht_report, dht_placement, dht_cp) =
-            run(MapperBackend::Dht { bits: 12, scan_width: 8 });
-        let (routed_report, routed_placement, routed_cp) = run(routed_backend());
+        let dht = MapperBackend::Dht { bits: 12, scan_width: 8 };
+        let (dht_report, dht_placement, dht_cp, _) = run(dht, LatencyBackend::Dense);
+        let (routed_report, routed_placement, routed_cp, _) =
+            run(routed_backend(), LatencyBackend::Dense);
         assert_eq!(dht_report, routed_report, "routed answers must match the omniscient-state Dht");
         assert_eq!(dht_placement, routed_placement);
+        // Under the lazy backend the routed plane costs what omniscient
+        // mapping costs: its messages are pair reads, so the only extra
+        // resident row is the coordinator's.
+        let (lazy_dht_report, _, _, lazy_dht) = run(dht, LatencyBackend::Lazy);
+        let (lazy_routed_report, _, _, lazy_routed) = run(routed_backend(), LatencyBackend::Lazy);
+        assert_eq!(lazy_dht_report, dht_report, "lazy ≡ dense");
+        assert_eq!(lazy_routed_report, routed_report, "lazy ≡ dense under the routed plane");
+        let (omniscient, routed) = (lazy_dht.unwrap(), lazy_routed.unwrap());
+        assert!(
+            routed.rows_cached <= omniscient.rows_cached + 1,
+            "routed plane keeps {} rows resident, omniscient twin {}",
+            routed.rows_cached,
+            omniscient.rows_cached
+        );
+        assert!(routed.pair_queries > omniscient.pair_queries, "messages are pair reads");
         // The Dht backend experiences nothing; the routed backend replayed
         // every deploy/reopt lookup and churn refresh over the underlay.
         assert_eq!(dht_cp.routed_messages, 0);

@@ -10,7 +10,10 @@
 //!   each resident row is *repaired in place* (dynamic SSSP over the
 //!   affected region) instead of dropped and recomputed; a steady tick
 //!   touches only the vertices whose distances actually changed, never the
-//!   `O(n²)` matrix.
+//!   `O(n²)` matrix. Rows stay resident only where reads repeat (the
+//!   landmarks, the routed coordinator): one-shot reads — each charged
+//!   link, each routed hop, each deployed circuit — are exact A* pair
+//!   queries bounded by the landmark rows, and make no row resident.
 //! * **Landmark Vivaldi with join-time placement** — the embedding warm-up
 //!   samples against `k` frozen landmarks instead of gossiping all-pairs,
 //!   so only `k` Dijkstra rows are ever demanded during bring-up; every
@@ -20,8 +23,8 @@
 //!   subset and grows on a per-tick join budget; every arrival, coordinate
 //!   re-registration, and failure is one `O(log n)` B-tree ring update in
 //!   the runtime's Hilbert-DHT catalog.
-//! * **Parallel tick loop** — per-source row computation and per-point
-//!   scalar refresh shard across a deterministic threadpool
+//! * **Parallel tick loop** — join-time placement and per-point scalar
+//!   refresh shard across a deterministic threadpool
 //!   (`RuntimeConfig::threads`, default all cores); the reduction order is
 //!   pinned so a parallel run is *bit-identical* to a serial one, which
 //!   this example asserts by running the same tier twice.
@@ -31,7 +34,9 @@
 //! catalog lookups and registrations travel as messages over the simulated
 //! underlay, the run must stay bit-identical to the omniscient backend,
 //! and the per-query *experienced* latency distribution (p50/p99 ms, hop
-//! histogram, messages) is reported.
+//! histogram, messages) is reported. The routed pass must also keep no
+//! more rows resident than the omniscient one plus the coordinator's: its
+//! messages are pair reads.
 //!
 //! ```sh
 //! cargo run --release --example planet_scale            # full 100,000 nodes
@@ -203,7 +208,7 @@ fn run_tier(
     backend: MapperBackend,
     chatty: bool,
     obs: ObsConfig,
-) -> RunReport {
+) -> (RunReport, LazyLatencyStats) {
     let n = topo.num_nodes();
     let start = Instant::now();
     let mut rt = OverlayRuntime::new(topo, seed, tier.config(threads, incremental, backend, obs));
@@ -244,10 +249,10 @@ fn run_tier(
     let report = rt.run();
     let t_run = start.elapsed().as_secs_f64();
     let ticks = report.samples.len();
-    if !chatty {
-        return report;
-    }
     let stats = rt.lazy_latency_stats().expect("lazy backend");
+    if !chatty {
+        return (report, stats);
+    }
 
     println!("\ndeployment-wave run:");
     println!(
@@ -266,10 +271,14 @@ fn run_tier(
         report.replacements
     );
     println!(
-        "  latency rows: {} computed total, {} resident ({:.2} MiB)",
+        "  latency rows: {} computed total, {} resident ({:.2} MiB); {} pair queries, {} from \
+         the pair cache, {} vertices settled by pair search",
         stats.rows_computed,
         stats.rows_cached,
         (stats.rows_cached * n * 8) as f64 / (1024.0 * 1024.0),
+        stats.pair_queries,
+        stats.pair_cache_hits,
+        stats.pair_vertices_settled,
     );
     println!(
         "  jitter absorption: {} row repairs settled {} vertices ({:.0} per repair; a \
@@ -312,7 +321,7 @@ fn run_tier(
     if let Some(emitted) = rt.trace_events_emitted() {
         println!("  trace: {emitted} events emitted");
     }
-    report
+    (report, stats)
 }
 
 fn main() {
@@ -365,19 +374,19 @@ fn main() {
         None => ObsConfig::disabled(),
     };
     let traced = obs.trace.is_some();
-    let report =
+    let (report, _) =
         run_tier(&tier, &topo, seed, parallel_threads, true, MapperBackend::default(), true, obs);
     if traced {
         println!("  wrote JSONL span trace to {:?}", std::env::var_os("SBON_TRACE").unwrap());
     }
 
     // ── Determinism pin: the serial run must be bit-identical ────────────
-    // The parallel-tick contract: sharding per-source row computation and
+    // The parallel-tick contract: sharding join-time placement and
     // per-point scalar refresh across a threadpool changes wall time only.
     // `RunReport` equality is bit-for-bit over every sample and counter.
     println!("\nre-running the tier serially (threads: 1) to pin determinism...");
     let start = Instant::now();
-    let serial = run_tier(
+    let (serial, _) = run_tier(
         &tier,
         &topo,
         seed,
@@ -402,7 +411,7 @@ fn main() {
     if smoke_xl {
         println!("\nre-running with incremental re-opt disabled (full scan) to pin equivalence...");
         let start = Instant::now();
-        let full_scan = run_tier(
+        let (full_scan, _) = run_tier(
             &tier,
             &topo,
             seed,
@@ -445,7 +454,7 @@ fn main() {
         topo_r.num_nodes()
     );
     let start = Instant::now();
-    let omniscient = run_tier(
+    let (omniscient, omniscient_stats) = run_tier(
         tier_r,
         topo_r,
         seed,
@@ -457,7 +466,7 @@ fn main() {
     );
     let routed_backend =
         MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() };
-    let routed = run_tier(
+    let (routed, routed_stats) = run_tier(
         tier_r,
         topo_r,
         seed,
@@ -473,6 +482,17 @@ fn main() {
         "routed and omniscient mapper backends must produce bit-identical RunReports"
     );
     println!("  routed ≡ omniscient: RunReports are bit-identical ✓");
+    assert!(
+        routed_stats.rows_cached <= omniscient_stats.rows_cached + 1,
+        "the routed plane must keep at most the coordinator's row beyond the omniscient run's: \
+         {} vs {} resident",
+        routed_stats.rows_cached,
+        omniscient_stats.rows_cached
+    );
+    println!(
+        "  routed resident rows {} ≤ omniscient {} + coordinator ✓",
+        routed_stats.rows_cached, omniscient_stats.rows_cached
+    );
 
     // ── The dense baseline at the same scale (extrapolated) ──────────────
     // A full all-pairs precompute at this scale runs for hours; time a few
