@@ -111,10 +111,12 @@ impl CostSpace {
     /// Recomputes one node's scalar components from the attribute table —
     /// the delta path of the maintenance contract. Returns `true` when any
     /// component actually changed (bit-level), which is the signal to
-    /// re-register the node with coordinate consumers such as
-    /// [`crate::placement::DhtMapper::update_node`]; clamped or repeated
-    /// attribute writes that leave the weighted value unchanged return
-    /// `false` so downstream sync can be skipped.
+    /// re-register the node with coordinate consumers (see
+    /// [`PhysicalMapper::update_node`]); clamped or repeated attribute
+    /// writes that leave the weighted value unchanged return `false` so
+    /// downstream sync can be skipped.
+    ///
+    /// [`PhysicalMapper::update_node`]: crate::placement::PhysicalMapper::update_node
     pub fn update_scalars(&mut self, node: NodeId, attrs: &NodeAttrs) -> bool {
         let point = &mut self.points[node.index()];
         let mut changed = false;

@@ -2,7 +2,7 @@
 //! vector dimensions, then physical mapping back to real nodes.
 //!
 //! "This physical placement of services is preceded by two decision phases:
-//! **Virtual Placement** — a service placement algorithm ... compute[s] the
+//! **Virtual Placement** — a service placement algorithm ... compute\[s\] the
 //! coordinates of the ideal placement locations for unpinned services in the
 //! cost space ... computationally inexpensive as they do not instantiate
 //! services. **Physical Mapping** — ... find a physical node that is close

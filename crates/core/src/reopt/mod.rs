@@ -4,7 +4,7 @@
 //! circuit is capable of re-optimization. This is a local procedure, where a
 //! node can re-run placement and mapping for any service that it hosts. The
 //! result may be to migrate the service to a cooperating node. ... But it is
-//! also possible that a stronger form of re-optimization is required [when]
+//! also possible that a stronger form of re-optimization is required \[when\]
 //! the selectivity estimates ... change as a circuit matures. In this
 //! scenario, a node can trigger the full circuit optimization while the
 //! original circuit is still running. If warranted, a new parallel circuit

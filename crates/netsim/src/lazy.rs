@@ -23,7 +23,7 @@
 //! * **Raises** (`w_new > w_old`) can only *increase* distances. The
 //!   vertices a raise can affect are exactly those reachable from a raised
 //!   edge's far endpoint by a chain of *old-tight* edges
-//!   (`d[x] + w_old(e) ≤ d[y] + ε`, with `ε =` [`TIGHT_EPS_MS`] absorbing
+//!   (`d[x] + w_old(e) ≤ d[y] + ε`, with `ε = 1e-9` ms absorbing
 //!   float ties) — a cheap BFS over old labels marks that region. The
 //!   marked labels are reset and recomputed by a Dijkstra *restricted to
 //!   the region*, seeded with the best boundary relaxation of each marked

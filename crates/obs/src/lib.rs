@@ -3,9 +3,9 @@
 //! Every instrumented subsystem in this workspace (churn/refresh,
 //! dirty-driven re-optimization, the routed catalog protocol, the workload
 //! lifecycle) records what it did through this crate: a metrics
-//! [`registry`](crate::registry) of counters/gauges/histograms, virtual-time
-//! span [`trace`](crate::trace)s, and a crash-context
-//! [`flight`](crate::flight) recorder. ROADMAP items that *consume*
+//! [`registry`] of counters/gauges/histograms, virtual-time
+//! span [`trace`]s, and a crash-context
+//! [`flight`] recorder. ROADMAP items that *consume*
 //! measurements — incremental re-optimization triggered by observed deltas,
 //! utilization/rejection reporting under admission control — build on this
 //! substrate rather than growing more ad-hoc stat structs.

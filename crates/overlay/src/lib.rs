@@ -2,7 +2,7 @@
 //!
 //! This crate puts the optimizer to work over *time* — the paper's second
 //! challenge: "whereas a typical database query is finite and short-lived,
-//! queries in an SBON can run continuously [and] node and network
+//! queries in an SBON can run continuously \[and\] node and network
 //! characteristics (such as load and latency) are dynamic" (Section 1).
 //!
 //! The runtime advances a deterministic clock; every tick it:
@@ -40,6 +40,7 @@
 #![forbid(unsafe_code)]
 
 pub mod dataplane;
+mod mapper;
 pub mod report;
 pub mod runtime;
 pub mod traffic;

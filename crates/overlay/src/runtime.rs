@@ -1,23 +1,22 @@
 //! The simulated overlay runtime.
 //!
-//! The control plane is **delta-driven**: one long-lived
-//! [`PhysicalMapper`] (the Hilbert-DHT catalog by default, see
-//! [`MapperBackend`]) serves deployment, local/full re-optimization, plan
-//! rewriting, and failure evacuation. Each churn tick refreshes only the
-//! cost points of the nodes the churn actually touched
-//! ([`ChurnProcess::tick_dirty`] → [`CostSpace::update_scalars`]) and
-//! forwards each real change to the mapper (`update_node`), so per-tick
-//! control-plane work tracks the churned-node count instead of the overlay
-//! size: `O(dims)` per refreshed point plus one catalog re-registration
-//! per changed point (truly `O(log n)` on the B-tree-backed ring). At
-//! scale, pair a fixed-budget churn process ([`ChurnProcess::SparseWalk`])
-//! with the default DHT backend; a full-universe walk re-registers every
-//! node every tick by definition. Node failures unregister from the mapper
-//! (`remove_node`): liveness filtering lives in the catalog, not in
-//! per-call-site wrapper mappers. Membership itself can also grow over
-//! ticks ([`DeploymentModel::Wave`]): pending nodes arrive on a per-tick
-//! budget and register through the same maintenance contract
-//! (`add_node`), so bring-up is incremental rather than one bulk build.
+//! The control plane is **delta-driven**: one long-lived [`PhysicalMapper`]
+//! (the Hilbert-DHT catalog by default, see [`MapperBackend`]) serves
+//! deployment, local/full re-optimization, plan rewriting, and failure
+//! evacuation. Every membership change reaches it through one sync path
+//! (`MapperState::sync`, in the crate's `mapper` module): deployment-wave
+//! arrivals ([`DeploymentModel::Wave`]) join it, each churn tick's changed
+//! cost points move in it, and failed nodes leave it, so liveness
+//! filtering lives in the catalog rather than in per-call-site wrapper
+//! mappers. Each churn tick refreshes only the cost points of the nodes
+//! the churn actually touched ([`ChurnProcess::tick_dirty`] →
+//! [`CostSpace::update_scalars`]), so per-tick control-plane work tracks
+//! the churned-node count instead of the overlay size: `O(dims)` per
+//! refreshed point plus one catalog re-registration per changed point
+//! (truly `O(log n)` on the B-tree-backed ring). At scale, pair a
+//! fixed-budget churn process ([`ChurnProcess::SparseWalk`]) with the
+//! default DHT backend; a full-universe walk re-registers every node every
+//! tick by definition.
 //!
 //! Re-optimization is **dirty-driven** by default
 //! ([`RuntimeConfig::incremental_reopt`]): a runtime-maintained relevance
@@ -25,9 +24,11 @@
 //! every no-op circuit evaluation and invalidates it from the control-plane
 //! deltas above, so each adaptation pass evaluates only the circuits a
 //! delta could actually have affected — bit-identically to evaluating
-//! everything. The evaluations themselves are read-only (per-circuit
-//! [`MapperReadView`]s) and shard across the worker pool; mutations commit
-//! serially in circuit order, so thread count never changes results.
+//! everything. All three pass kinds (local migration, plan rewrite, full
+//! re-optimization) run one skeleton: the evaluations are read-only
+//! (per-circuit [`MapperReadView`]s) and shard across the worker pool;
+//! mutations commit serially in circuit order, so thread count never
+//! changes results.
 
 use std::collections::{HashMap, VecDeque};
 
@@ -36,16 +37,18 @@ use rand::Rng;
 use rayon::prelude::*;
 
 use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiConfig, VivaldiEmbedding};
-use sbon_core::circuit::{Circuit, Placement, ServiceId};
+use sbon_core::circuit::{Circuit, Link, Placement, ServiceId, ServicePin::Pinned};
 use sbon_core::costspace::{CostSpace, CostSpaceBuilder};
-use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer, ReuseScope};
-use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, QuerySpec};
+use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer, ReleaseReport, ReuseScope};
+use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, PlacedCircuit, QuerySpec};
 use sbon_core::placement::{
-    DhtMapper, DhtMapperConfig, LiveOracleMapper, MapperReadView, PhysicalMapper, ReadObservation,
-    RelaxationPlacer, RoutedMapper,
+    MapperReadView, PhysicalMapper, ReadObservation, RelaxationPlacer, RoutedMapper,
 };
 use sbon_core::reopt::relevance::{ReadSet, RelevanceIndex, ReoptKind};
-use sbon_core::reopt::{reoptimize_full, reoptimize_local, FullReoptOutcome, ReoptPolicy};
+use sbon_core::reopt::{
+    reoptimize_full, reoptimize_local, reoptimize_rewrite, FullReoptOutcome, Migration,
+    ReoptPolicy, RewriteOutcome,
+};
 use sbon_dht::catalog::CatalogStats;
 use sbon_dht::proto::{ProtoConfig, RoutedStats};
 use sbon_netsim::dijkstra::all_pairs_latency;
@@ -62,6 +65,7 @@ use sbon_obs::{
     Tracer, WallTimer,
 };
 
+use crate::mapper::{MapperState, MemberChange, Touched};
 use crate::report::{RunReport, Sample};
 
 /// Transient latency inflation applied each tick, at **underlay-edge**
@@ -262,12 +266,6 @@ pub struct RuntimeConfig {
     /// `false` restores the evaluate-everything scan, useful as the
     /// equivalence baseline.
     incremental_reopt: bool,
-    /// Per-evaluation mapping memo (default `true`): within one circuit
-    /// evaluation, repeated physical-mapping lookups of bit-identical ideal
-    /// points are answered from a local memo instead of re-routing through
-    /// the catalog. Answers are identical by construction (the catalog
-    /// never mutates mid-evaluation); only the per-lookup traffic changes.
-    mapping_memo: bool,
     /// Observability: virtual-time span tracing and the flight recorder
     /// (see [`sbon_obs::ObsConfig`]). Defaults to everything off — the
     /// metrics registry backing the stats views runs regardless, at the
@@ -300,7 +298,6 @@ impl Default for RuntimeConfig {
             reuse: ReuseScope::None,
             threads: 0,
             incremental_reopt: true,
-            mapping_memo: true,
             obs: ObsConfig::default(),
         }
     }
@@ -414,14 +411,18 @@ impl RuntimeConfig {
         self.incremental_reopt
     }
 
-    /// Whether the per-evaluation mapping memo is on.
-    pub fn mapping_memo(&self) -> bool {
-        self.mapping_memo
-    }
-
     /// Observability configuration (tracing, flight recorder).
     pub fn obs(&self) -> &ObsConfig {
         &self.obs
+    }
+
+    /// The cadence of one re-optimization pass kind; `None` = disabled.
+    fn interval(&self, kind: ReoptKind) -> Option<f64> {
+        match kind {
+            ReoptKind::Local => self.reopt_interval_ms,
+            ReoptKind::Rewrite => self.rewrite_interval_ms,
+            ReoptKind::Full => self.full_reopt_interval_ms,
+        }
     }
 }
 
@@ -571,13 +572,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Enables/disables the per-evaluation mapping memo — see
-    /// [`RuntimeConfig::mapping_memo`].
-    pub fn mapping_memo(mut self, v: bool) -> Self {
-        self.config.mapping_memo = v;
-        self
-    }
-
     /// Sets the observability configuration — see [`sbon_obs::ObsConfig`].
     /// Instrumentation never changes results, only what gets reported.
     pub fn obs(mut self, v: ObsConfig) -> Self {
@@ -705,53 +699,18 @@ impl RunSession {
 /// Events driving the simulation.
 enum Event {
     Tick,
-    LocalReopt,
-    FullReopt,
-    Rewrite,
+    Reopt(ReoptKind),
     Fail(NodeId),
 }
 
-/// The runtime-owned mapper behind [`MapperBackend`].
-// The runtime holds exactly one of these for its whole lifetime, so the
-// Dht/Oracle size gap costs one allocation's worth of slack, not N.
-#[allow(clippy::large_enum_variant)]
-enum MapperState {
-    Dht(DhtMapper),
-    Oracle(LiveOracleMapper),
-    Routed(RoutedMapper),
-}
-
-impl MapperState {
-    fn as_dyn(&mut self) -> &mut dyn PhysicalMapper {
-        match self {
-            MapperState::Dht(m) => m,
-            MapperState::Oracle(m) => m,
-            MapperState::Routed(m) => m,
-        }
-    }
-
-    /// A read-only view for one circuit evaluation: answers exactly like
-    /// the live mapper, accumulates traffic/read-set observations locally.
-    /// The routed backend hands out the same catalog-only view the DHT
-    /// backend does — routed traffic is replayed only for live-path
-    /// lookups, on the serial settle points.
-    fn read_view(&self, memo: bool) -> MapperReadView<'_> {
-        match self {
-            MapperState::Dht(m) => MapperReadView::Dht(m.read_view(memo)),
-            MapperState::Oracle(m) => MapperReadView::Oracle(m.read_view()),
-            MapperState::Routed(m) => MapperReadView::Dht(m.read_view(memo)),
-        }
-    }
-
-    /// Folds a read view's deferred catalog traffic back onto the live
-    /// mapper (a no-op for the oracle, which has no traffic counters).
-    fn charge_observed(&mut self, obs: &ReadObservation) {
-        match self {
-            MapperState::Dht(m) => m.charge_stats(obs.stats),
-            MapperState::Oracle(_) => {}
-            MapperState::Routed(m) => m.charge_stats(obs.stats),
-        }
-    }
+/// One re-optimization pass's verdict on one circuit.
+enum Verdict {
+    /// No change: the evaluation was a no-op.
+    Keep,
+    /// Local re-opt moved services: the new placement and its migrations.
+    Migrate(Placement, Vec<Migration>),
+    /// A plan-replacing pass found a cheaper circuit.
+    Replace(Box<PlacedCircuit>),
 }
 
 /// Accumulated control-plane accounting of a runtime, split so the cost of
@@ -1112,19 +1071,12 @@ fn sample_edge_deltas<R: Rng, B: Fn(EdgeId) -> f64>(
     for _ in 0..jitter.edges_per_tick {
         let e = EdgeId(rng.gen_range(0..m) as u32);
         let f = rng.gen_range(jitter.factor_range.0..jitter.factor_range.1);
-        let cur = match index.get(&e.0) {
-            Some(&slot) => deltas[slot].1,
-            None => graph.edge(e).latency_ms,
-        };
+        let slot = *index.entry(e.0).or_insert_with(|| {
+            deltas.push((e, graph.edge(e).latency_ms));
+            deltas.len() - 1
+        });
         let b = base(e);
-        let next = (cur * f).clamp(b * jitter.band.0, b * jitter.band.1);
-        match index.entry(e.0) {
-            std::collections::hash_map::Entry::Occupied(slot) => deltas[*slot.get()].1 = next,
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(deltas.len());
-                deltas.push((e, next));
-            }
-        }
+        deltas[slot].1 = (deltas[slot].1 * f).clamp(b * jitter.band.0, b * jitter.band.1);
     }
     deltas
 }
@@ -1133,20 +1085,18 @@ fn sample_edge_deltas<R: Rng, B: Fn(EdgeId) -> f64>(
 /// keep `salt ^ node` disjoint from every other derivation stream.
 const PLACE_STREAM: u64 = 0x517e_9a4e << 32;
 
-/// Runs `f` over `indices` on the pool when one is active (and there is
+/// Runs `f` over `items` on the pool when one is active (and there is
 /// enough work to shard), serially otherwise. Results come back in input
-/// order either way, and `f` is pure per index, so thread count never
+/// order either way, and `f` is pure per item, so thread count never
 /// changes what the caller commits.
-fn run_parallel<T: Send>(
+fn run_parallel<I: Sync, T: Send>(
     pool: &Option<rayon::ThreadPool>,
-    indices: &[usize],
-    f: impl Fn(usize) -> T + Sync,
+    items: &[I],
+    f: impl Fn(&I) -> T + Sync,
 ) -> Vec<T> {
     match pool {
-        Some(pool) if indices.len() > 1 => {
-            pool.install(|| indices.par_iter().map(|&i| f(i)).collect())
-        }
-        _ => indices.iter().map(|&i| f(i)).collect(),
+        Some(pool) if items.len() > 1 => pool.install(|| items.par_iter().map(&f).collect()),
+        _ => items.iter().map(f).collect(),
     }
 }
 
@@ -1159,6 +1109,46 @@ fn circuit_hosts(circuit: &Circuit, placement: &Placement) -> Vec<NodeId> {
     hosts.sort_unstable();
     hosts.dedup();
     hosts
+}
+
+/// One read-only evaluation of circuit `d` by a `kind` pass — the only
+/// per-kind step of [`OverlayRuntime::reopt_pass`]. Pure in its inputs, so
+/// evaluations shard freely across the pool.
+fn evaluate(
+    kind: ReoptKind,
+    d: &Deployed,
+    space: &CostSpace,
+    view: &mut MapperReadView<'_>,
+    policy: ReoptPolicy,
+) -> Verdict {
+    let placer = RelaxationPlacer::default();
+    let running_est =
+        || d.circuit.cost_with(&d.placement, |a, b| space.vector_distance(a, b)).network_usage;
+    match kind {
+        ReoptKind::Local => {
+            let mut placement = d.placement.clone();
+            let out = reoptimize_local(&d.circuit, &mut placement, space, &placer, view, policy);
+            if out.migrations.is_empty() {
+                Verdict::Keep
+            } else {
+                Verdict::Migrate(placement, out.migrations)
+            }
+        }
+        ReoptKind::Rewrite => {
+            let (plan, query) = (&d.running_plan, &d.query);
+            match reoptimize_rewrite(plan, running_est(), query, space, &placer, view, policy) {
+                RewriteOutcome::Rewrite { replacement, .. } => Verdict::Replace(replacement),
+                RewriteOutcome::Keep => Verdict::Keep,
+            }
+        }
+        ReoptKind::Full => {
+            let config = OptimizerConfig::default();
+            match reoptimize_full(running_est(), &d.query, space, view, config, policy) {
+                FullReoptOutcome::Replace { replacement, .. } => Verdict::Replace(replacement),
+                FullReoptOutcome::Keep => Verdict::Keep,
+            }
+        }
+    }
 }
 
 /// The simulated SBON.
@@ -1215,22 +1205,16 @@ impl OverlayRuntime {
     /// results — only the cost of obtaining them.
     pub fn new(topology: &Topology, seed: u64, config: RuntimeConfig) -> Self {
         let n = topology.num_nodes();
-        let pool = match config.threads {
-            1 => None,
-            t => {
-                let t = if t == 0 {
-                    std::thread::available_parallelism().map_or(1, |p| p.get())
-                } else {
-                    t
-                };
-                (t > 1).then(|| {
-                    rayon::ThreadPoolBuilder::new()
-                        .num_threads(t)
-                        .build()
-                        .expect("runtime worker pool")
-                })
-            }
+        let threads = match config.threads {
+            0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
+            t => t,
         };
+        let pool = (threads > 1).then(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .expect("runtime worker pool")
+        });
         let mut latency = match config.latency_backend {
             LatencyBackend::Dense => {
                 let graph = topology.graph.clone();
@@ -1329,32 +1313,7 @@ impl OverlayRuntime {
             CostSpaceBuilder::latency_load_space_scaled(&embedding, &attrs, config.load_scale);
         let members: Vec<NodeId> =
             (0..n as u32).map(NodeId).filter(|node| arrived[node.index()]).collect();
-        let mapper = match config.mapper_backend {
-            MapperBackend::Dht { bits, scan_width } => {
-                // Cap the grid resolution so the Hilbert key fits the
-                // 128-bit ring whatever the space's dimensionality.
-                let bits = bits.min((128 / space.dims() as u32).max(1));
-                MapperState::Dht(DhtMapper::build_with_members(
-                    &space,
-                    // Full scalar range: load churn must never push a
-                    // registered coordinate outside the quantizer box.
-                    &DhtMapperConfig { bits, scan_width, ..DhtMapperConfig::default() },
-                    &members,
-                ))
-            }
-            MapperBackend::Oracle => {
-                MapperState::Oracle(LiveOracleMapper::with_members(n, members))
-            }
-            MapperBackend::Routed { bits, scan_width, proto } => {
-                let bits = bits.min((128 / space.dims() as u32).max(1));
-                MapperState::Routed(RoutedMapper::build_with_members(
-                    &space,
-                    &DhtMapperConfig { bits, scan_width, ..DhtMapperConfig::default() },
-                    proto,
-                    &members,
-                ))
-            }
-        };
+        let mapper = MapperState::build(config.mapper_backend, &space, &members);
         if let (LatencyState::Lazy(lazy), MapperState::Routed(m)) = (&latency, &mapper) {
             // Every settled lookup is issued from the coordinator, so each
             // message prices a hop out of its row: keep it resident.
@@ -1427,25 +1386,8 @@ impl OverlayRuntime {
         }
         self.alive[node.index()] = false;
         // The maintenance contract: the dead node leaves the mapper, so no
-        // control-plane path can ever map onto it again. Clean records that
-        // scanned its registration (or read its cost point) go dirty.
-        match &mut self.mapper {
-            MapperState::Dht(m) => {
-                if let Some(key) = m.remove_node_traced(node) {
-                    self.relevance.touch_key(key);
-                }
-            }
-            MapperState::Oracle(m) => {
-                m.remove_node(node);
-                self.relevance.touch_all();
-            }
-            MapperState::Routed(m) => {
-                if let Some(key) = m.remove_node_traced(node) {
-                    self.relevance.touch_key(key);
-                }
-            }
-        }
-        self.relevance.touch_host(node);
+        // control-plane path can ever map onto it again.
+        self.sync_mapper(node, MemberChange::Leave);
         let placer = RelaxationPlacer::default();
         let mut evacuated = 0;
 
@@ -1453,34 +1395,20 @@ impl OverlayRuntime {
         // dead circuit force-leaves the registry (its instances died with
         // it), and the failure **cascades**: circuits subscribed to a
         // torn-down instance lose their feed and are torn down too, as are
-        // retained shared subtrees with a service on the dead node.
-        let mut drained: Vec<(CircuitId, ServiceId)> = Vec::new();
-        let mut idle: Vec<(CircuitId, ServiceId)> = Vec::new();
-        let mut orphans: VecDeque<CircuitId> = VecDeque::new();
+        // retained shared subtrees with a service on the dead node. The
+        // worklist is the registry's teardown reports, merged; `orphaned`
+        // is worked through in arrival order.
+        let mut cascade = ReleaseReport::default();
+        let dead_pin = |d: &Deployed| d.circuit.services().iter().any(|s| s.pin == Pinned(node));
         let mut idx = 0;
-        while idx < self.circuits.len() {
-            let dead_pin =
-                self.circuits[idx].circuit.services().iter().any(
-                    |s| matches!(s.pin, sbon_core::circuit::ServicePin::Pinned(n) if n == node),
-                );
-            if dead_pin {
-                let d = self.circuits.remove(idx);
-                self.failed_circuits.push(d.handle);
-                self.relevance.remove(d.handle.0 as u64);
-                if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                    if let Some(rep) = mq.teardown_reporting(id) {
-                        drained.extend(rep.drained);
-                        idle.extend(rep.idle);
-                        orphans.extend(rep.orphaned);
-                    }
-                }
-            } else {
-                idx += 1;
-            }
+        while let Some(skip) = self.circuits[idx..].iter().position(dead_pin) {
+            idx += skip;
+            let id = self.circuits[idx].mq_id;
+            self.tear_down(Some(idx), id, &mut cascade);
         }
         // Retained shared subtrees with any service on the dead node are
         // broken: their (departed) owners join the teardown worklist.
-        orphans.extend(self.retained.iter().filter_map(|r| {
+        cascade.orphaned.extend(self.retained.iter().filter_map(|r| {
             let mask = subtree_mask(&r.circuit, &r.roots);
             let broken = r
                 .circuit
@@ -1491,23 +1419,14 @@ impl OverlayRuntime {
         }));
         // Cascade: tear down orphaned subscribers (and whatever their
         // teardown orphans in turn).
-        while let Some(id) = orphans.pop_front() {
-            if let Some(pos) = self.circuits.iter().position(|d| d.mq_id == Some(id)) {
-                let d = self.circuits.remove(pos);
-                self.failed_circuits.push(d.handle);
-                self.relevance.remove(d.handle.0 as u64);
-            }
-            self.retained.retain(|r| r.owner != id);
-            if let Some(mq) = &mut self.multiquery {
-                if let Some(rep) = mq.teardown_reporting(id) {
-                    drained.extend(rep.drained);
-                    idle.extend(rep.idle);
-                    orphans.extend(rep.orphaned);
-                }
-            }
+        let mut next = 0;
+        while let Some(&id) = cascade.orphaned.get(next) {
+            next += 1;
+            let pos = self.circuits.iter().position(|d| d.mq_id == Some(id));
+            self.tear_down(pos, Some(id), &mut cascade);
         }
-        self.apply_drains(&drained);
-        self.apply_idle(&idle);
+        self.apply_drains(&cascade.drained);
+        self.apply_idle(&cascade.idle);
 
         // Evacuate unpinned services stranded on the dead node, through the
         // same runtime-owned mapper every other control-plane path uses.
@@ -1540,6 +1459,40 @@ impl OverlayRuntime {
         evacuated
     }
 
+    /// One failure-teardown step: fails the live circuit at `pos` (if
+    /// any), drops retained subtrees owned by registry circuit `id`, and
+    /// force-leaves `id` from the registry, queuing what that drains,
+    /// idles, and orphans onto the `work` list.
+    fn tear_down(&mut self, pos: Option<usize>, id: Option<CircuitId>, work: &mut ReleaseReport) {
+        if let Some(pos) = pos {
+            let d = self.circuits.remove(pos);
+            self.failed_circuits.push(d.handle);
+            self.relevance.remove(d.handle.0 as u64);
+        }
+        let Some(id) = id else { return };
+        self.retained.retain(|r| r.owner != id);
+        if let Some(rep) = self.multiquery.as_mut().and_then(|mq| mq.teardown_reporting(id)) {
+            work.drained.extend(rep.drained);
+            work.idle.extend(rep.idle);
+            work.orphaned.extend(rep.orphaned);
+        }
+    }
+
+    /// Syncs one membership change into the mapper and applies what it
+    /// touched to the relevance index — the one place the Touched →
+    /// relevance rule of the `mapper` module runs.
+    fn sync_mapper(&mut self, node: NodeId, change: MemberChange) {
+        match self.mapper.sync(&self.space, node, change) {
+            Touched::Keys(keys) => {
+                keys.into_iter().flatten().for_each(|k| self.relevance.touch_key(k))
+            }
+            Touched::All => self.relevance.touch_all(),
+        }
+        if change != MemberChange::Join {
+            self.relevance.touch_host(node);
+        }
+    }
+
     /// Applies cascaded drains reported by the registry: retained subtrees
     /// whose last subscriber left stop accruing usage.
     fn apply_drains(&mut self, drained: &[(CircuitId, ServiceId)]) {
@@ -1569,17 +1522,18 @@ impl OverlayRuntime {
     }
 
     /// Serial pre-filter of one adaptation pass: the indices of circuits
-    /// the pass must evaluate. `skip_entangled` applies the tenancy rule of
-    /// the plan-replacing passes; the dirty filter (when
-    /// [`RuntimeConfig::incremental_reopt`] is on) drops circuits whose
-    /// re-opt inputs are unchanged since their last no-op `kind`
-    /// evaluation. Entangled circuits count toward neither evaluated nor
-    /// skipped — they were never candidates.
-    fn dirty_circuits(&mut self, kind: ReoptKind, skip_entangled: bool) -> Vec<usize> {
+    /// the pass must evaluate. The plan-replacing passes (rewrite, full)
+    /// pass over tenancy-entangled circuits — a plan swap under live
+    /// subscriptions would strand tenants — which count toward neither
+    /// evaluated nor skipped: they were never candidates. The dirty filter
+    /// (when [`RuntimeConfig::incremental_reopt`] is on) drops circuits
+    /// whose re-opt inputs are unchanged since their last no-op `kind`
+    /// evaluation.
+    fn dirty_circuits(&mut self, kind: ReoptKind) -> Vec<usize> {
         let mut eval = Vec::new();
         let mut skipped = 0u64;
         for (i, d) in self.circuits.iter().enumerate() {
-            if skip_entangled && Self::is_entangled(&self.multiquery, d) {
+            if kind != ReoptKind::Local && Self::is_entangled(&self.multiquery, d) {
                 continue;
             }
             if self.config.incremental_reopt && !self.relevance.is_dirty(kind, d.handle.0 as u64) {
@@ -1675,13 +1629,7 @@ impl OverlayRuntime {
             reopt_evaluated: r.counter_value(h.reopt_evaluated) as usize,
             reopt_skipped: r.counter_value(h.reopt_skipped) as usize,
             usage_ns: u128::from(r.counter_value(h.usage_ns)),
-            routed_messages: 0,
-            routed_lookups: 0,
-            routed_retries: 0,
-            routed_timeouts: 0,
-            routed_hop_histogram: Vec::new(),
-            routed_p50_latency_ms: None,
-            routed_p99_latency_ms: None,
+            ..ControlPlaneStats::default()
         };
         if let MapperState::Routed(m) = &self.mapper {
             let rs = m.routed_stats();
@@ -1745,22 +1693,16 @@ impl OverlayRuntime {
         if m.pending_traffic() == 0 && m.routed().is_quiescent() {
             return;
         }
-        let before = {
+        let counts = |m: &RoutedMapper| {
             let rs = m.routed_stats();
-            (rs.messages, rs.lookups, rs.registrations, rs.timeouts)
+            [rs.messages, rs.lookups, rs.registrations, rs.timeouts]
         };
+        let before = counts(m);
         let latency = &self.latency;
         let link = |a: u32, b: u32| latency.pair(NodeId(a), NodeId(b));
         m.settle(at, &link);
-        let (msgs, lookups, regs, timeouts) = {
-            let rs = m.routed_stats();
-            (
-                rs.messages - before.0,
-                rs.lookups - before.1,
-                rs.registrations - before.2,
-                rs.timeouts - before.3,
-            )
-        };
+        let after = counts(m);
+        let [msgs, lookups, regs, timeouts] = std::array::from_fn(|i| after[i] - before[i]);
         self.obs.point("routed.settle", || {
             vec![
                 ("messages", msgs.into()),
@@ -1780,39 +1722,24 @@ impl OverlayRuntime {
     /// instance's owner are skipped) plus the links of retained shared
     /// subtrees whose owners departed but whose subscribers remain.
     pub fn instantaneous_usage(&self) -> f64 {
+        let link_usage = |placement: &Placement, l: &Link| {
+            l.rate * self.latency.pair(placement.node_of(l.from), placement.node_of(l.to))
+        };
         let live: f64 = self
             .circuits
             .iter()
             .map(|d| {
-                d.circuit
-                    .links()
-                    .iter()
-                    .filter(|l| !d.shared.get(l.to.index()).copied().unwrap_or(false))
-                    .map(|l| {
-                        l.rate
-                            * self
-                                .latency
-                                .pair(d.placement.node_of(l.from), d.placement.node_of(l.to))
-                    })
-                    .sum::<f64>()
+                let paid = |l: &&Link| !d.shared.get(l.to.index()).copied().unwrap_or(false);
+                let charged = d.circuit.links().iter().filter(paid);
+                charged.map(|l| link_usage(&d.placement, l)).sum::<f64>()
             })
             .sum();
         let retained: f64 = self
             .retained
             .iter()
             .map(|r| {
-                r.circuit
-                    .links()
-                    .iter()
-                    .zip(&r.charge)
-                    .filter(|&(_, &charged)| charged)
-                    .map(|(l, _)| {
-                        l.rate
-                            * self
-                                .latency
-                                .pair(r.placement.node_of(l.from), r.placement.node_of(l.to))
-                    })
-                    .sum::<f64>()
+                let charged = r.circuit.links().iter().zip(&r.charge).filter(|&(_, &c)| c);
+                charged.map(|(l, _)| link_usage(&r.placement, l)).sum::<f64>()
             })
             .sum();
         // `+ 0.0` normalizes the empty-sum identity `-0.0` to `+0.0` (and
@@ -1997,14 +1924,12 @@ impl OverlayRuntime {
     pub fn start_run(&mut self) -> RunSession {
         let mut queue: EventQueue<Event> = EventQueue::new();
         queue.schedule(SimTime(self.config.tick_ms), Event::Tick);
-        if let Some(interval) = self.config.reopt_interval_ms {
-            queue.schedule(SimTime(interval), Event::LocalReopt);
-        }
-        if let Some(interval) = self.config.full_reopt_interval_ms {
-            queue.schedule(SimTime(interval), Event::FullReopt);
-        }
-        if let Some(interval) = self.config.rewrite_interval_ms {
-            queue.schedule(SimTime(interval), Event::Rewrite);
+        // The queue breaks same-time ties by insertion order, so this order
+        // (local, full, rewrite) is part of the run's semantics.
+        for kind in [ReoptKind::Local, ReoptKind::Full, ReoptKind::Rewrite] {
+            if let Some(interval) = self.config.interval(kind) {
+                queue.schedule(SimTime(interval), Event::Reopt(kind));
+            }
         }
         for (at_ms, node) in std::mem::take(&mut self.pending_failures) {
             queue.schedule(SimTime(at_ms), Event::Fail(node));
@@ -2082,157 +2007,11 @@ impl OverlayRuntime {
                     s.queue.schedule(now.after(self.config.tick_ms), Event::Tick);
                 }
             }
-            Event::LocalReopt => {
-                let t0 = WallTimer::start();
-                let sp = self.obs.span_start("reopt.local", Vec::new);
-                let placer = RelaxationPlacer::default();
-                // Dirty filter: clean circuits would reproduce their last
-                // no-op evaluation exactly, so they are skipped outright.
-                let eval_idx = self.dirty_circuits(ReoptKind::Local, false);
-                // Read-only evaluation, shardable across the pool: each
-                // circuit gets a fresh mapper view and a placement clone;
-                // nothing shared mutates, so evaluations are independent.
-                let results: Vec<(
-                    Placement,
-                    sbon_core::reopt::LocalReoptOutcome,
-                    ReadObservation,
-                )> = {
-                    let circuits = &self.circuits;
-                    let space = &self.space;
-                    let mapper = &self.mapper;
-                    let placer = &placer;
-                    let policy = self.config.policy;
-                    let memo = self.config.mapping_memo;
-                    run_parallel(&self.pool, &eval_idx, move |i| {
-                        let d = &circuits[i];
-                        let mut view = mapper.read_view(memo);
-                        let mut placement = d.placement.clone();
-                        let outcome = reoptimize_local(
-                            &d.circuit,
-                            &mut placement,
-                            space,
-                            placer,
-                            &mut view,
-                            policy,
-                        );
-                        (placement, outcome, view.into_observation())
-                    })
-                };
-                // Serial commit in circuit order: placements, the
-                // reuse-discovery index, deferred catalog traffic, and the
-                // relevance verdict (clean record vs dirty-on-mutation).
-                let mut moved = 0;
-                for (&i, (placement, outcome, obs)) in eval_idx.iter().zip(results) {
-                    self.mapper.charge_observed(&obs);
-                    let handle = self.circuits[i].handle.0 as u64;
-                    if outcome.migrations.is_empty() {
-                        if self.config.incremental_reopt {
-                            let d = &self.circuits[i];
-                            let hosts = circuit_hosts(&d.circuit, &d.placement);
-                            self.relevance.record_clean(
-                                ReoptKind::Local,
-                                handle,
-                                ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space },
-                            );
-                        }
-                        continue;
-                    }
-                    let d = &mut self.circuits[i];
-                    d.placement = placement;
-                    // Keep the reuse-discovery index truthful about hosts.
-                    if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                        for m in &outcome.migrations {
-                            mq.relocate(id, m.service, m.to, &self.space);
-                        }
-                    }
-                    self.relevance.mark_dirty(handle);
-                    moved += outcome.migrations.len();
-                }
-                self.obs.registry.inc(self.obs.h.local_reopt_ns, t0.elapsed_ns());
-                let evaluated = eval_idx.len();
-                self.obs.span_end(sp, || {
-                    vec![("evaluated", evaluated.into()), ("migrations", moved.into())]
-                });
-                s.report.migrations += moved;
-                s.report.adaptation_cost += moved as f64 * self.config.migration_penalty;
-                if let Some(interval) = self.config.reopt_interval_ms {
-                    if now.after(interval) <= s.horizon {
-                        s.queue.schedule(now.after(interval), Event::LocalReopt);
-                    }
-                }
-            }
-            Event::Rewrite => {
-                let t0 = WallTimer::start();
-                let sp = self.obs.span_start("reopt.rewrite", Vec::new);
-                let placer = RelaxationPlacer::default();
-                // Tenancy-entangled circuits are not rewritten (a plan swap
-                // under live subscriptions would strand tenants); clean ones
-                // are skipped by the dirty filter.
-                let eval_idx = self.dirty_circuits(ReoptKind::Rewrite, true);
-                let results: Vec<(sbon_core::reopt::RewriteOutcome, ReadObservation)> = {
-                    let circuits = &self.circuits;
-                    let space = &self.space;
-                    let mapper = &self.mapper;
-                    let placer = &placer;
-                    let policy = self.config.policy;
-                    let memo = self.config.mapping_memo;
-                    run_parallel(&self.pool, &eval_idx, move |i| {
-                        let d = &circuits[i];
-                        let running_est = d
-                            .circuit
-                            .cost_with(&d.placement, |a, b| space.vector_distance(a, b))
-                            .network_usage;
-                        let mut view = mapper.read_view(memo);
-                        let outcome = sbon_core::reopt::reoptimize_rewrite(
-                            &d.running_plan,
-                            running_est,
-                            &d.query,
-                            space,
-                            placer,
-                            &mut view,
-                            policy,
-                        );
-                        (outcome, view.into_observation())
-                    })
-                };
-                let mut swaps = 0;
-                for (&i, (outcome, obs)) in eval_idx.iter().zip(results) {
-                    self.mapper.charge_observed(&obs);
-                    let handle = self.circuits[i].handle.0 as u64;
-                    if let sbon_core::reopt::RewriteOutcome::Rewrite { replacement, .. } = outcome {
-                        let d = &mut self.circuits[i];
-                        d.running_plan = replacement.plan.clone();
-                        d.circuit = replacement.circuit;
-                        d.placement = replacement.placement;
-                        d.shared = Vec::new();
-                        // The swap invalidates the old registration; the
-                        // replacement's operators take its place.
-                        if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                            mq.reregister(id, &d.circuit, &d.placement, &self.space);
-                        }
-                        self.relevance.mark_dirty(handle);
-                        swaps += 1;
-                    } else if self.config.incremental_reopt {
-                        let d = &self.circuits[i];
-                        let hosts = circuit_hosts(&d.circuit, &d.placement);
-                        self.relevance.record_clean(
-                            ReoptKind::Rewrite,
-                            handle,
-                            ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space },
-                        );
-                    }
-                }
-                self.obs.registry.inc(self.obs.h.rewrite_ns, t0.elapsed_ns());
-                let evaluated = eval_idx.len();
-                self.obs.span_end(sp, || {
-                    vec![("evaluated", evaluated.into()), ("swaps", swaps.into())]
-                });
-                s.report.replacements += swaps;
-                s.report.adaptation_cost += swaps as f64 * self.config.replacement_penalty;
-                if let Some(interval) = self.config.rewrite_interval_ms {
-                    if now.after(interval) <= s.horizon {
-                        s.queue.schedule(now.after(interval), Event::Rewrite);
-                    }
+            Event::Reopt(kind) => {
+                self.reopt_pass(kind, &mut s.report);
+                let next = self.config.interval(kind).map(|i| now.after(i));
+                if let Some(next) = next.filter(|&t| t <= s.horizon) {
+                    s.queue.schedule(next, Event::Reopt(kind));
                 }
             }
             Event::Fail(node) => {
@@ -2252,74 +2031,90 @@ impl OverlayRuntime {
                 s.report.migrations += evacuated;
                 s.report.adaptation_cost += evacuated as f64 * self.config.migration_penalty;
             }
-            Event::FullReopt => {
-                let t0 = WallTimer::start();
-                let sp = self.obs.span_start("reopt.full", Vec::new);
-                // See the rewrite pass: no plan swaps under tenancy, and
-                // clean circuits skip the whole optimizer run.
-                let eval_idx = self.dirty_circuits(ReoptKind::Full, true);
-                let results: Vec<(FullReoptOutcome, ReadObservation)> = {
-                    let circuits = &self.circuits;
-                    let space = &self.space;
-                    let mapper = &self.mapper;
-                    let policy = self.config.policy;
-                    let memo = self.config.mapping_memo;
-                    run_parallel(&self.pool, &eval_idx, move |i| {
-                        let d = &circuits[i];
-                        let running_est = d
-                            .circuit
-                            .cost_with(&d.placement, |a, b| space.vector_distance(a, b))
-                            .network_usage;
-                        let mut view = mapper.read_view(memo);
-                        let outcome = reoptimize_full(
-                            running_est,
-                            &d.query,
-                            space,
-                            &mut view,
-                            OptimizerConfig::default(),
-                            policy,
-                        );
-                        (outcome, view.into_observation())
-                    })
-                };
-                let mut swaps = 0;
-                for (&i, (outcome, obs)) in eval_idx.iter().zip(results) {
-                    self.mapper.charge_observed(&obs);
-                    let handle = self.circuits[i].handle.0 as u64;
-                    if let FullReoptOutcome::Replace { replacement, .. } = outcome {
-                        let d = &mut self.circuits[i];
-                        d.circuit = replacement.circuit;
-                        d.placement = replacement.placement;
-                        d.shared = Vec::new();
-                        if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                            mq.reregister(id, &d.circuit, &d.placement, &self.space);
-                        }
-                        self.relevance.mark_dirty(handle);
-                        swaps += 1;
-                    } else if self.config.incremental_reopt {
-                        let d = &self.circuits[i];
-                        let hosts = circuit_hosts(&d.circuit, &d.placement);
-                        self.relevance.record_clean(
-                            ReoptKind::Full,
-                            handle,
-                            ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space },
-                        );
-                    }
+        }
+    }
+
+    /// Runs one re-optimization pass of `kind`, charging its migrations
+    /// (local pass) or plan swaps (rewrite / full) to `report`. The dirty
+    /// filter drops circuits whose last no-op evaluation still holds; the
+    /// rest are evaluated read-only (shardable across the pool, each
+    /// against its own mapper view) and committed serially in circuit
+    /// order.
+    fn reopt_pass(&mut self, kind: ReoptKind, report: &mut RunReport) {
+        let t0 = WallTimer::start();
+        let (span, timer) = match kind {
+            ReoptKind::Local => ("reopt.local", self.obs.h.local_reopt_ns),
+            ReoptKind::Rewrite => ("reopt.rewrite", self.obs.h.rewrite_ns),
+            ReoptKind::Full => ("reopt.full", self.obs.h.full_reopt_ns),
+        };
+        let sp = self.obs.span_start(span, Vec::new);
+        let eval_idx = self.dirty_circuits(kind);
+        let (circuits, space, mapper) = (&self.circuits, &self.space, &self.mapper);
+        let policy = self.config.policy;
+        let results: Vec<(Verdict, ReadObservation)> = run_parallel(&self.pool, &eval_idx, |&i| {
+            let mut view = mapper.read_view();
+            let verdict = evaluate(kind, &circuits[i], space, &mut view, policy);
+            (verdict, view.into_observation())
+        });
+        // Serial commit in circuit order: deferred catalog traffic, then
+        // either the relevance verdict (clean record) or the mutation.
+        let mut changed = 0;
+        for (&i, (verdict, obs)) in eval_idx.iter().zip(results) {
+            self.mapper.charge_observed(&obs);
+            let d = &mut self.circuits[i];
+            let handle = d.handle.0 as u64;
+            match verdict {
+                Verdict::Keep if self.config.incremental_reopt => {
+                    let hosts = circuit_hosts(&d.circuit, &d.placement);
+                    let read = ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space };
+                    self.relevance.record_clean(kind, handle, read);
                 }
-                self.obs.registry.inc(self.obs.h.full_reopt_ns, t0.elapsed_ns());
-                let evaluated = eval_idx.len();
-                self.obs.span_end(sp, || {
-                    vec![("evaluated", evaluated.into()), ("swaps", swaps.into())]
-                });
-                s.report.replacements += swaps;
-                s.report.adaptation_cost += swaps as f64 * self.config.replacement_penalty;
-                if let Some(interval) = self.config.full_reopt_interval_ms {
-                    if now.after(interval) <= s.horizon {
-                        s.queue.schedule(now.after(interval), Event::FullReopt);
+                Verdict::Keep => {}
+                Verdict::Migrate(placement, migrations) => {
+                    d.placement = placement;
+                    // Keep the reuse-discovery index truthful about hosts.
+                    if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
+                        for m in &migrations {
+                            mq.relocate(id, m.service, m.to, &self.space);
+                        }
                     }
+                    self.relevance.mark_dirty(handle);
+                    changed += migrations.len();
+                }
+                Verdict::Replace(replacement) => {
+                    self.replace_plan(i, *replacement);
+                    changed += 1;
                 }
             }
         }
+        self.obs.registry.inc(timer, t0.elapsed_ns());
+        let evaluated = eval_idx.len();
+        let (label, count, penalty) = match kind {
+            ReoptKind::Local => {
+                ("migrations", &mut report.migrations, self.config.migration_penalty)
+            }
+            _ => ("swaps", &mut report.replacements, self.config.replacement_penalty),
+        };
+        self.obs.span_end(sp, || vec![("evaluated", evaluated.into()), (label, changed.into())]);
+        *count += changed;
+        report.adaptation_cost += changed as f64 * penalty;
+    }
+
+    /// Swaps circuit `i` onto a replacement plan — the commit of both plan
+    /// rewriting and full re-optimization ("a new parallel circuit is
+    /// deployed, cancelling the original").
+    fn replace_plan(&mut self, i: usize, replacement: PlacedCircuit) {
+        let d = &mut self.circuits[i];
+        d.running_plan = replacement.plan;
+        d.circuit = replacement.circuit;
+        d.placement = replacement.placement;
+        d.shared = Vec::new();
+        // The swap invalidates the old registration; the replacement's
+        // operators take its place.
+        if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
+            mq.reregister(id, &d.circuit, &d.placement, &self.space);
+        }
+        self.relevance.mark_dirty(d.handle.0 as u64);
     }
 
     /// One tick of environment dynamics. Cost-point maintenance is
@@ -2353,25 +2148,7 @@ impl OverlayRuntime {
                         self.space.set_vector_coord(node, &state.coord);
                     }
                 }
-                // The arrival's catalog registration can change lookups
-                // whose scanned region covers its key: invalidate exactly
-                // those clean records (everything, under the oracle scan).
-                match &mut self.mapper {
-                    MapperState::Dht(m) => {
-                        let (old, new) = m.update_node_traced(&self.space, node);
-                        debug_assert!(old.is_none(), "a joining node cannot be registered yet");
-                        self.relevance.touch_key(new);
-                    }
-                    MapperState::Oracle(m) => {
-                        m.add_node(&self.space, node);
-                        self.relevance.touch_all();
-                    }
-                    MapperState::Routed(m) => {
-                        let (old, new) = m.update_node_traced(&self.space, node);
-                        debug_assert!(old.is_none(), "a joining node cannot be registered yet");
-                        self.relevance.touch_key(new);
-                    }
-                }
+                self.sync_mapper(node, MemberChange::Join);
                 joined += 1;
             }
             self.obs.registry.inc(self.obs.h.nodes_joined, joined as u64);
@@ -2398,45 +2175,12 @@ impl OverlayRuntime {
         // of the space and the attribute table), then commit serially in
         // dirty order: bit-identical to the serial update at any thread
         // count, with the mapper only re-registering real changes.
-        let values: Vec<Vec<f64>> = {
-            let space = &self.space;
-            let attrs = &self.attrs;
-            let compute = |node: &NodeId| space.scalar_values(*node, attrs);
-            match &self.pool {
-                Some(pool) if dirty.len() > 1 => {
-                    pool.install(|| dirty.par_iter().map(compute).collect())
-                }
-                _ => dirty.iter().map(compute).collect(),
-            }
-        };
+        let (space, attrs) = (&self.space, &self.attrs);
+        let values = run_parallel(&self.pool, &dirty, |&node| space.scalar_values(node, attrs));
         let mut updated = 0u64;
         for (&node, vals) in dirty.iter().zip(&values) {
             if self.space.apply_scalars(node, vals) {
-                // Relevance invalidation rides the mapper sync: the moved
-                // registration stabs clean records whose scanned ring
-                // region covers either key, and the changed cost point
-                // stabs every record that read this host's estimate.
-                match &mut self.mapper {
-                    MapperState::Dht(m) => {
-                        let (old, new) = m.update_node_traced(&self.space, node);
-                        if let Some(old) = old {
-                            self.relevance.touch_key(old);
-                        }
-                        self.relevance.touch_key(new);
-                    }
-                    MapperState::Oracle(m) => {
-                        m.update_node(&self.space, node);
-                        self.relevance.touch_all();
-                    }
-                    MapperState::Routed(m) => {
-                        let (old, new) = m.update_node_traced(&self.space, node);
-                        if let Some(old) = old {
-                            self.relevance.touch_key(old);
-                        }
-                        self.relevance.touch_key(new);
-                    }
-                }
-                self.relevance.touch_host(node);
+                self.sync_mapper(node, MemberChange::Move);
                 updated += 1;
             }
         }
@@ -2446,12 +2190,9 @@ impl OverlayRuntime {
         self.obs.point("churn.refresh", || {
             vec![("dirty", dirty_count.into()), ("updated", updated.into())]
         });
-        let Some(jitter) = self.config.latency_jitter else {
+        let Some(jitter) = self.config.latency_jitter.filter(|j| j.edges_per_tick > 0) else {
             return;
         };
-        if jitter.edges_per_tick == 0 {
-            return;
-        }
         // One shared edge-granular delta sequence; the backends differ only
         // in how they bring their derived state up to date.
         let rng = &mut self.rng;
@@ -3341,6 +3082,44 @@ mod tests {
         // Replacements re-register under the same ids: no duplicate or
         // stale instances accumulate across swaps.
         assert_eq!(mq.num_instances(), instances_before);
+    }
+
+    /// A full re-optimization that swaps a circuit also swaps the plan it
+    /// runs: the running plan must rebuild into the running circuit, so a
+    /// later rewrite pass explores the replacement's neighbourhood rather
+    /// than the cancelled deploy-time plan's.
+    #[test]
+    fn full_reopt_replacement_updates_running_plan() {
+        let seed = 1;
+        let topo = small_world(seed);
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            seed,
+            RuntimeConfig {
+                horizon_ms: 30_000.0,
+                reopt_interval_ms: None,
+                full_reopt_interval_ms: Some(3_000.0),
+                churn: ChurnProcess::RandomWalk { std_dev: 0.35 },
+                policy: ReoptPolicy { migration_threshold: 0.05, replacement_threshold: 0.0 },
+                ..Default::default()
+            },
+        );
+        rt.deploy(demo_query(&topo)).unwrap();
+        let deployed_plan = rt.circuits[0].running_plan.render();
+        let report = rt.run();
+        assert!(report.replacements > 0);
+        let d = &rt.circuits[0];
+        let rebuilt = Circuit::from_plan(
+            &d.running_plan,
+            &d.query.stats,
+            |s| d.query.producer_of(s),
+            d.query.consumer,
+        );
+        assert_eq!(rebuilt.services(), d.circuit.services());
+        assert_eq!(rebuilt.links(), d.circuit.links());
+        // The case must replace the plan itself, not only its placement,
+        // or the check above would hold trivially.
+        assert_ne!(d.running_plan.render(), deployed_plan);
     }
 
     /// The session API: a run can be advanced tick-by-tick with mid-run

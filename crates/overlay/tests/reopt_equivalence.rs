@@ -6,8 +6,10 @@
 //! every migration, every usage figure — a run with skipping enabled must be
 //! bit-identical to one that evaluates every circuit at every pass. These
 //! properties pin that contract across random topologies, churn and jitter
-//! schedules, both latency backends, both mapper backends, reuse on/off, and
-//! mid-run node failures.
+//! schedules, both latency backends, all three mapper backends (DHT, oracle,
+//! routed), all-at-once vs deployment-wave membership, reuse on/off, and
+//! mid-run node failures — so every arm of the runtime's membership sync
+//! (join, move, leave under each backend) feeds the dirty filter.
 //!
 //! A second pin holds the sharded read-only evaluation phase to the serial
 //! one: `threads = 8` ≡ `threads = 1`, again on the whole report.
@@ -15,12 +17,14 @@
 use proptest::prelude::*;
 use sbon_core::multiquery::ReuseScope;
 use sbon_core::optimizer::QuerySpec;
+use sbon_dht::proto::ProtoConfig;
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::load::ChurnProcess;
 use sbon_netsim::topology::transit_stub::{generate, TransitStubConfig};
 use sbon_netsim::topology::Topology;
 use sbon_overlay::{
-    JitterModel, LatencyBackend, MapperBackend, OverlayRuntime, RunReport, RuntimeConfig,
+    DeploymentModel, JitterModel, LatencyBackend, MapperBackend, OverlayRuntime, RunReport,
+    RuntimeConfig,
 };
 
 /// One randomly drawn run scenario. Everything that shapes the simulation is
@@ -29,16 +33,18 @@ use sbon_overlay::{
 struct Scenario {
     seed: u64,
     nodes: usize,
-    /// Selects (latency backend, mapper backend) out of the 2×2 grid.
+    /// Selects (latency backend, mapper backend) out of the 2×3 grid.
     backend: u8,
     sparse_churn: bool,
     jitter: bool,
     failure: bool,
     reuse: bool,
+    /// Membership comes up as a deployment wave, so nodes join mid-run.
+    wave: bool,
 }
 
 impl Scenario {
-    /// Decodes a strategy draw: `flags` carries the four booleans as bits so
+    /// Decodes a strategy draw: `flags` carries the five booleans as bits so
     /// the whole scenario fits the shim's tuple-strategy arity.
     fn decode(seed: u64, nodes: usize, backend: u8, flags: u8) -> Scenario {
         Scenario {
@@ -49,6 +55,7 @@ impl Scenario {
             jitter: flags & 2 != 0,
             failure: flags & 4 != 0,
             reuse: flags & 8 != 0,
+            wave: flags & 16 != 0,
         }
     }
 }
@@ -68,13 +75,19 @@ fn star(hosts: &[NodeId], base: usize, rate: f64) -> QuerySpec {
 /// skipping; `threads` sets the worker pool for the parallel phases. All
 /// three re-optimization pass kinds fire within the 8-tick horizon
 /// (intervals 2 s / 3 s / 4 s), and the optional failure lands between the
-/// first and second local pass.
+/// first and second local pass. A wave starts from half the nodes and
+/// admits the rest at 8 per tick, so joins run through the whole horizon.
 fn run_once(s: &Scenario, topo: &Topology, incremental: bool, threads: usize) -> RunReport {
-    let (latency, mapper) = match s.backend {
-        0 => (LatencyBackend::Dense, MapperBackend::Dht { bits: 12, scan_width: 8 }),
-        1 => (LatencyBackend::Dense, MapperBackend::Oracle),
-        2 => (LatencyBackend::Lazy, MapperBackend::Dht { bits: 12, scan_width: 8 }),
-        _ => (LatencyBackend::Lazy, MapperBackend::Oracle),
+    let latency = if s.backend < 3 { LatencyBackend::Dense } else { LatencyBackend::Lazy };
+    let mapper = match s.backend % 3 {
+        0 => MapperBackend::Dht { bits: 12, scan_width: 8 },
+        1 => MapperBackend::Oracle,
+        _ => MapperBackend::Routed { bits: 12, scan_width: 8, proto: ProtoConfig::default() },
+    };
+    let deployment = if s.wave {
+        DeploymentModel::Wave { initial: s.nodes / 2, joins_per_tick: 8 }
+    } else {
+        DeploymentModel::Full
     };
     // Kept light on purpose: heavy churn dirties every circuit every tick
     // and the skip path never fires. At ~2 touched nodes per tick a good
@@ -102,6 +115,7 @@ fn run_once(s: &Scenario, topo: &Topology, incremental: bool, threads: usize) ->
         .latency_jitter(jitter)
         .latency_backend(latency)
         .mapper_backend(mapper)
+        .deployment(deployment)
         .reuse(reuse)
         .threads(threads)
         .incremental_reopt(incremental)
@@ -122,14 +136,14 @@ fn run_once(s: &Scenario, topo: &Topology, incremental: bool, threads: usize) ->
 proptest! {
     // Runtime runs are the expensive end of the workspace's property tests,
     // so the case counts stay small; the draws still cover the full backend
-    // grid and the churn/jitter/failure/reuse combinations.
+    // grid and the churn/jitter/failure/reuse/wave combinations.
     #![proptest_config(ProptestConfig { cases: 12 })]
 
     /// Dirty-driven skipping is exact: skipping provably-clean circuits
     /// produces the bit-identical `RunReport` to evaluating everything.
     #[test]
     fn incremental_reopt_equals_full_scan(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..4, 0u8..16)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..32)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);
@@ -146,7 +160,7 @@ proptest! {
     /// order, so the thread count must never show up in the report.
     #[test]
     fn parallel_reopt_equals_serial(
-        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..4, 0u8..16)
+        (seed, nodes, backend, flags) in (0u64..u64::MAX, 60usize..140, 0u8..6, 0u8..32)
     ) {
         let s = Scenario::decode(seed, nodes, backend, flags);
         let topo = topology(&s);

@@ -4,7 +4,7 @@ use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
 use rand::Rng;
 
-/// A length specification for [`vec`]: a fixed size or a half-open range.
+/// A length specification for [`vec()`]: a fixed size or a half-open range.
 #[derive(Clone, Copy, Debug)]
 pub struct SizeRange {
     lo: usize,
