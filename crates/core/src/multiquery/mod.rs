@@ -33,6 +33,19 @@
 //! double-release bug) and fully drain to zero once every circuit has been
 //! released, which the workspace pins with a property test over random
 //! arrival/departure interleavings.
+//!
+//! The registry is the one owner of this state: each [`CircuitRecord`]
+//! holds its circuit's placement, shared mask and billed links; live
+//! records list in deploy order ([`MultiQueryOptimizer::live`]), retained
+//! ones in departure order ([`MultiQueryOptimizer::retained`]); and
+//! [`MultiQueryOptimizer::is_entangled`] says whose plan may be swapped.
+//!
+//! **Billing rule.** A link is billed to the record that holds it only if
+//! its downstream endpoint is not shared (a shared endpoint and its feed
+//! are paid for by the instance's owner). A live circuit is billed for all
+//! such links; a retained circuit only for those whose downstream endpoint
+//! lies in a still-subscribed subtree. The mask is recomputed when the
+//! subscribed roots change (at release and at each drain), never per read.
 
 use std::collections::BTreeMap;
 
@@ -41,7 +54,7 @@ use sbon_hilbert::{HilbertCurve, Quantizer};
 use sbon_netsim::graph::NodeId;
 use sbon_netsim::latency::LatencyProvider;
 
-use crate::circuit::{Circuit, CircuitCost, Placement, ServiceId, ServiceKind};
+use crate::circuit::{Circuit, CircuitCost, Placement, Service, ServiceId, ServiceKind};
 use crate::costspace::CostSpace;
 use crate::optimizer::{OptimizerConfig, QuerySpec};
 use crate::placement::{map_circuit, OracleMapper, PhysicalMapper, VirtualPlacer};
@@ -128,7 +141,7 @@ pub struct ReleaseReport {
     pub idle: Vec<(CircuitId, ServiceId)>,
     /// Circuits left holding a live subscription on the torn-down circuit —
     /// their shared feed no longer exists. Only populated by
-    /// [`MultiQueryOptimizer::teardown_reporting`] (a graceful `release`
+    /// [`MultiQueryOptimizer::teardown`] (a graceful `release`
     /// retains subscribed subtrees instead of stranding anyone); the caller
     /// decides how the failure cascades.
     pub orphaned: Vec<CircuitId>,
@@ -145,19 +158,62 @@ struct Borrow {
     service: ServiceId,
 }
 
-/// Registry record of one deployed (possibly departed-but-retained) circuit.
+/// Registry record of one deployed (possibly departed-but-retained)
+/// circuit.
 #[derive(Clone)]
-struct CircuitRecord {
+pub struct CircuitRecord {
     circuit: Circuit,
     placement: Placement,
     /// Per-service shared flag (see [`MultiQueryOutcome::shared`]).
     shared: Vec<bool>,
+    /// `billed[link]` — the link is billed to this record (module docs).
+    billed: Vec<bool>,
     /// Subscriptions held on other circuits' instances.
     borrows: Vec<Borrow>,
     /// `released[i]` — `borrows[i]` has been given back already.
     released: Vec<bool>,
-    /// The circuit departed; only still-subscribed subtrees survive.
-    departed: bool,
+}
+
+impl CircuitRecord {
+    /// Where the circuit's services run (a retained record keeps its
+    /// owner's last placement).
+    pub fn placement(&self) -> &Placement {
+        &self.placement
+    }
+
+    /// `shared[service]` — see [`MultiQueryOutcome::shared`].
+    pub fn shared(&self) -> &[bool] {
+        &self.shared
+    }
+
+    /// The circuit as registered (reuse pins aside, the running one).
+    pub fn circuit(&self) -> &Circuit {
+        &self.circuit
+    }
+
+    /// `billed[link]` — the link is billed to this record (module docs).
+    pub fn billed(&self) -> &[bool] {
+        &self.billed
+    }
+
+    /// The circuit's own registered instances: its non-shared operators.
+    fn instances(&self) -> impl Iterator<Item = ServiceId> + '_ {
+        let own = |s: &&Service| !self.shared[s.id.index()];
+        let operator = |s: &&Service| matches!(s.kind, ServiceKind::Operator { .. });
+        self.circuit.services().iter().filter(operator).filter(own).map(|s| s.id)
+    }
+
+    /// Recomputes the billed links: `running` holds a retained record's
+    /// still-subscribed roots, `None` stands for a live circuit.
+    fn bill(&mut self, running: Option<&[ServiceId]>) {
+        let running = running.map(|roots| subtree_mask(&self.circuit, roots));
+        let links = self.circuit.links().iter();
+        let billed = links.map(|l| {
+            let to = l.to.index();
+            !self.shared[to] && running.as_ref().is_none_or(|m| m[to])
+        });
+        self.billed = billed.collect();
+    }
 }
 
 /// Decentralized instance discovery: running operator instances registered
@@ -194,9 +250,11 @@ pub struct MultiQueryOptimizer {
     // process-random (sbon-lint: unordered-iteration).
     /// Running instances indexed by signature.
     by_signature: BTreeMap<String, Vec<ServiceInstance>>,
-    /// All deployed circuits, including departed ones that still own
-    /// retained (subscribed) subtrees.
+    /// Running circuits.
     deployed: BTreeMap<CircuitId, CircuitRecord>,
+    /// Departed circuits whose subtrees subscribers still retain, in
+    /// departure order.
+    retained: Vec<(CircuitId, CircuitRecord)>,
     /// Subscription refcounts per reusable instance.
     subscribers: BTreeMap<(CircuitId, ServiceId), usize>,
     /// Optional decentralized discovery index.
@@ -211,6 +269,7 @@ impl MultiQueryOptimizer {
             next_id: 0,
             by_signature: BTreeMap::new(),
             deployed: BTreeMap::new(),
+            retained: Vec::new(),
             subscribers: BTreeMap::new(),
             dht_index: None,
         }
@@ -227,14 +286,8 @@ impl MultiQueryOptimizer {
         let points: Vec<Vec<f64>> = space.points().iter().map(|p| p.as_slice().to_vec()).collect();
         let quantizer = Quantizer::covering(&points, bits, 0.25);
         let catalog = CoordinateCatalog::new(HilbertCurve::new(dims, bits), quantizer, 8);
-        MultiQueryOptimizer {
-            config,
-            next_id: 0,
-            by_signature: BTreeMap::new(),
-            deployed: BTreeMap::new(),
-            subscribers: BTreeMap::new(),
-            dht_index: Some(InstanceIndex { catalog, slots: Vec::new(), k }),
-        }
+        let index = InstanceIndex { catalog, slots: Vec::new(), k };
+        MultiQueryOptimizer { dht_index: Some(index), ..Self::new(config) }
     }
 
     /// Discovery traffic statistics (zeroes when the registry oracle is in
@@ -245,13 +298,61 @@ impl MultiQueryOptimizer {
 
     /// Number of running (non-departed) circuits.
     pub fn num_circuits(&self) -> usize {
-        self.deployed.values().filter(|r| !r.departed).count()
+        self.deployed.len()
     }
 
     /// Number of departed circuits whose subtrees are still retained by
     /// subscribers.
     pub fn num_retained(&self) -> usize {
-        self.deployed.values().filter(|r| r.departed).count()
+        self.retained.len()
+    }
+
+    /// The record of a running or retained circuit.
+    pub fn record(&self, id: CircuitId) -> Option<&CircuitRecord> {
+        let retained = || self.retained.iter().find(|(c, _)| *c == id).map(|(_, r)| r);
+        self.deployed.get(&id).or_else(retained)
+    }
+
+    /// [`Self::record`], mutable.
+    fn record_mut(&mut self, id: CircuitId) -> Option<&mut CircuitRecord> {
+        match self.deployed.get_mut(&id) {
+            Some(rec) => Some(rec),
+            None => self.retained.iter_mut().find(|(c, _)| *c == id).map(|(_, r)| r),
+        }
+    }
+
+    /// Running circuits' records, in deploy order (ids are assigned in
+    /// deploy order and kept across [`Self::reregister`]).
+    pub fn live(&self) -> impl Iterator<Item = (CircuitId, &CircuitRecord)> + '_ {
+        self.deployed.iter().map(|(&id, rec)| (id, rec))
+    }
+
+    /// Retained circuits' records, in departure order.
+    pub fn retained(&self) -> impl Iterator<Item = &CircuitRecord> + '_ {
+        self.retained.iter().map(|(_, rec)| rec)
+    }
+
+    /// Retained circuits, in departure order, with a service of a
+    /// still-subscribed subtree on `node`: what a failure of `node` breaks.
+    pub fn retained_on(&self, node: NodeId) -> Vec<CircuitId> {
+        let broken = |(id, rec): &&(CircuitId, CircuitRecord)| {
+            let running = subtree_mask(&rec.circuit, &self.subscribed_roots(*id));
+            let on_node =
+                |s: &Service| running[s.id.index()] && rec.placement.node_of(s.id) == node;
+            rec.circuit.services().iter().any(on_node)
+        };
+        self.retained.iter().filter(broken).map(|(id, _)| *id).collect()
+    }
+
+    /// Whether circuit `id` is tenancy-entangled: it borrows a shared
+    /// subtree from another circuit, or another circuit subscribes to one
+    /// of its instances. An entangled circuit's plan must not be swapped
+    /// (the swap would strand tenants; [`Self::reregister`] asserts this).
+    /// `false` for unknown circuits.
+    pub fn is_entangled(&self, id: CircuitId) -> bool {
+        self.record(id).is_some_and(|rec| {
+            rec.shared.contains(&true) || rec.instances().any(|s| self.refcount(id, s) > 0)
+        })
     }
 
     /// Number of reusable operator instances.
@@ -395,9 +496,7 @@ impl MultiQueryOptimizer {
                     // where the data actually materializes, shared links
                     // cost exactly zero (co-located), and no re-opt pass
                     // can ever "migrate" a phantom.
-                    let mut subtree = vec![false; circuit.len()];
-                    subtree[sid.index()] = true;
-                    mark_subtree(&circuit, sid, &mut subtree);
+                    let subtree = subtree_mask(&circuit, &[sid]);
                     for (idx, &in_subtree) in subtree.iter().enumerate() {
                         if !in_subtree {
                             continue;
@@ -558,30 +657,22 @@ impl MultiQueryOptimizer {
             *self.subscribers.entry((b.from, b.service)).or_default() += 1;
         }
         let released = vec![false; borrows.len()];
-        self.deployed.insert(
-            id,
-            CircuitRecord {
-                circuit: circuit.clone(),
-                placement: placement.clone(),
-                shared: shared.to_vec(),
-                borrows,
-                released,
-                departed: false,
-            },
-        );
+        let mut rec = CircuitRecord {
+            circuit: circuit.clone(),
+            placement: placement.clone(),
+            shared: shared.to_vec(),
+            billed: Vec::new(),
+            borrows,
+            released,
+        };
+        rec.bill(None);
+        self.deployed.insert(id, rec);
     }
 
     /// The departing-or-departed circuit's still-subscribed own services.
     fn subscribed_roots(&self, id: CircuitId) -> Vec<ServiceId> {
-        let Some(rec) = self.deployed.get(&id) else { return Vec::new() };
-        rec.circuit
-            .services()
-            .iter()
-            .filter(|s| matches!(s.kind, ServiceKind::Operator { .. }))
-            .filter(|s| !rec.shared[s.id.index()])
-            .filter(|s| self.refcount(id, s.id) > 0)
-            .map(|s| s.id)
-            .collect()
+        let Some(rec) = self.record(id) else { return Vec::new() };
+        rec.instances().filter(|&s| self.refcount(id, s) > 0).collect()
     }
 
     /// Marks as released — and returns — every not-yet-released borrow of
@@ -592,12 +683,8 @@ impl MultiQueryOptimizer {
         id: CircuitId,
         keep: &[ServiceId],
     ) -> Vec<(CircuitId, ServiceId)> {
-        let Some(rec) = self.deployed.get_mut(&id) else { return Vec::new() };
-        let mut keep_mask = vec![false; rec.circuit.len()];
-        for &root in keep {
-            keep_mask[root.index()] = true;
-            mark_subtree(&rec.circuit, root, &mut keep_mask);
-        }
+        let Some(rec) = self.record_mut(id) else { return Vec::new() };
+        let keep_mask = subtree_mask(&rec.circuit, keep);
         let mut freed = Vec::new();
         for i in 0..rec.borrows.len() {
             if !rec.released[i] && !keep_mask[rec.borrows[i].at.index()] {
@@ -610,18 +697,36 @@ impl MultiQueryOptimizer {
 
     /// Removes one instance from the discovery index (registry + DHT).
     fn remove_instance(&mut self, circuit: CircuitId, service: ServiceId) {
+        self.update_instances(|inst| inst.circuit == circuit && inst.service == service, None);
+    }
+
+    /// The one scan over both discovery indexes (registry + DHT slots):
+    /// every registration `hit` selects moves to `to = (node, point)`, or
+    /// leaves the index when `to` is `None`.
+    fn update_instances(
+        &mut self,
+        hit: impl Fn(&ServiceInstance) -> bool,
+        to: Option<(NodeId, &[f64])>,
+    ) {
         for v in self.by_signature.values_mut() {
-            v.retain(|inst| !(inst.circuit == circuit && inst.service == service));
+            match to {
+                Some((node, _)) => {
+                    v.iter_mut().filter(|inst| hit(inst)).for_each(|i| i.node = node)
+                }
+                None => v.retain(|inst| !hit(inst)),
+            }
         }
         self.by_signature.retain(|_, v| !v.is_empty());
         if let Some(index) = &mut self.dht_index {
-            for member in 0..index.slots.len() {
-                let dead = index.slots[member]
-                    .as_ref()
-                    .is_some_and(|inst| inst.circuit == circuit && inst.service == service);
-                if dead {
-                    index.slots[member] = None;
-                    index.catalog.remove(member as u32);
+            for (member, slot) in index.slots.iter_mut().enumerate() {
+                let Some(inst) = slot.as_mut().filter(|inst| hit(inst)) else { continue };
+                index.catalog.remove(member as u32);
+                match to {
+                    Some((node, point)) => {
+                        inst.node = node;
+                        index.catalog.insert(member as u32, point.to_vec());
+                    }
+                    None => *slot = None,
                 }
             }
         }
@@ -654,13 +759,12 @@ impl MultiQueryOptimizer {
                 continue;
             }
             self.subscribers.remove(&(oc, os));
-            let owner_departed = self.deployed.get(&oc).is_some_and(|r| r.departed);
-            if !owner_departed {
+            let Some(pos) = self.retained.iter().position(|(c, _)| *c == oc) else {
                 // The owner still runs it for itself; report the instance
                 // idle so the caller can lift the tenancy pin.
                 idle.push((oc, os));
                 continue;
-            }
+            };
             // The retained subtree drains: out of the index, usage stops,
             // and the borrows only it was holding cascade.
             self.remove_instance(oc, os);
@@ -668,7 +772,9 @@ impl MultiQueryOptimizer {
             let surviving = self.subscribed_roots(oc);
             queue.extend(self.release_borrows_outside(oc, &surviving));
             if surviving.is_empty() {
-                self.deployed.remove(&oc);
+                self.retained.remove(pos);
+            } else {
+                self.retained[pos].1.bill(Some(&surviving));
             }
         }
     }
@@ -678,31 +784,22 @@ impl MultiQueryOptimizer {
     /// retained until their refcount drains (module docs). Returns `None`
     /// if the circuit is unknown or was already released.
     pub fn release(&mut self, id: CircuitId) -> Option<ReleaseReport> {
-        if self.deployed.get(&id).is_none_or(|r| r.departed) {
+        if !self.deployed.contains_key(&id) {
             return None;
         }
         let retained = self.subscribed_roots(id);
         // Unsubscribed own instances leave the index now; retained ones stay
         // discoverable (they keep running, new arrivals may still attach).
-        let gone: Vec<ServiceId> = {
-            let rec = &self.deployed[&id];
-            rec.circuit
-                .services()
-                .iter()
-                .filter(|s| matches!(s.kind, ServiceKind::Operator { .. }))
-                .filter(|s| !rec.shared[s.id.index()])
-                .filter(|s| !retained.contains(&s.id))
-                .map(|s| s.id)
-                .collect()
-        };
+        let gone: Vec<ServiceId> =
+            self.deployed[&id].instances().filter(|s| !retained.contains(s)).collect();
         for s in gone {
             self.remove_instance(id, s);
         }
         let freed = self.release_borrows_outside(id, &retained);
-        if retained.is_empty() {
-            self.deployed.remove(&id);
-        } else {
-            self.deployed.get_mut(&id).expect("retained record stays").departed = true;
+        let mut rec = self.deployed.remove(&id).expect("a running circuit has a record");
+        if !retained.is_empty() {
+            rec.bill(Some(&retained));
+            self.retained.push((id, rec));
         }
         let mut drained = Vec::new();
         let mut idle = Vec::new();
@@ -720,28 +817,9 @@ impl MultiQueryOptimizer {
         node: NodeId,
         space: &CostSpace,
     ) {
-        for v in self.by_signature.values_mut() {
-            for inst in v.iter_mut() {
-                if inst.circuit == circuit && inst.service == service {
-                    inst.node = node;
-                }
-            }
-        }
-        if let Some(index) = &mut self.dht_index {
-            for member in 0..index.slots.len() {
-                let hit = index.slots[member]
-                    .as_ref()
-                    .is_some_and(|inst| inst.circuit == circuit && inst.service == service);
-                if hit {
-                    if let Some(inst) = index.slots[member].as_mut() {
-                        inst.node = node;
-                    }
-                    index.catalog.remove(member as u32);
-                    index.catalog.insert(member as u32, space.point(node).as_slice().to_vec());
-                }
-            }
-        }
-        if let Some(rec) = self.deployed.get_mut(&circuit) {
+        let hit = |inst: &ServiceInstance| inst.circuit == circuit && inst.service == service;
+        self.update_instances(hit, Some((node, space.point(node).as_slice())));
+        if let Some(rec) = self.record_mut(circuit) {
             rec.placement.move_service(service, node);
         }
     }
@@ -751,9 +829,9 @@ impl MultiQueryOptimizer {
     /// the discovery index and the replacement's operators register in
     /// their place under the same [`CircuitId`].
     ///
-    /// Only **untenanted** circuits may be swapped — panics if the circuit
-    /// borrows from others or any of its instances has subscribers (a swap
-    /// would strand those tenants; the caller must check first).
+    /// Only circuits that are not [entangled](Self::is_entangled) may be
+    /// swapped — panics otherwise (a swap would strand those tenants; the
+    /// caller must check first).
     pub fn reregister(
         &mut self,
         id: CircuitId,
@@ -761,24 +839,12 @@ impl MultiQueryOptimizer {
         placement: &Placement,
         space: &CostSpace,
     ) {
-        let rec = self.deployed.get(&id).expect("reregister of an unknown circuit");
-        assert!(!rec.departed, "cannot reregister a departed circuit");
+        let rec = self.deployed.get(&id).expect("reregister of an unknown or departed circuit");
         assert!(
-            rec.borrows.iter().zip(&rec.released).all(|(_, &released)| released),
-            "cannot reregister a circuit that borrows from others"
+            !self.is_entangled(id),
+            "cannot reregister an entangled circuit (it borrows from others or has subscribed instances)"
         );
-        let old_instances: Vec<ServiceId> = rec
-            .circuit
-            .services()
-            .iter()
-            .filter(|s| matches!(s.kind, ServiceKind::Operator { .. }))
-            .filter(|s| !rec.shared[s.id.index()])
-            .map(|s| s.id)
-            .collect();
-        assert!(
-            old_instances.iter().all(|&s| self.refcount(id, s) == 0),
-            "cannot reregister a circuit with subscribed instances"
-        );
+        let old_instances: Vec<ServiceId> = rec.instances().collect();
         for s in old_instances {
             self.remove_instance(id, s);
         }
@@ -790,40 +856,31 @@ impl MultiQueryOptimizer {
     /// Force-tears a circuit down, removing its instances from the reuse
     /// index **regardless of subscribers** — the failure path (the service
     /// died; subscribers' releases become no-ops). Use
-    /// [`MultiQueryOptimizer::release`] for graceful departures.
-    pub fn teardown(&mut self, id: CircuitId) -> bool {
-        self.teardown_reporting(id).is_some()
-    }
-
-    /// [`MultiQueryOptimizer::teardown`] that also reports the retained
-    /// subtrees of *other* departed circuits that drained as the torn-down
-    /// circuit's subscriptions cascaded (`retained` is always empty: force
-    /// teardown retains nothing of its own).
-    pub fn teardown_reporting(&mut self, id: CircuitId) -> Option<ReleaseReport> {
-        let rec = self.deployed.remove(&id)?;
-        // Circuits still subscribing to the torn-down circuit lose their
-        // feed: report them so the caller can cascade the failure.
-        let orphaned: Vec<CircuitId> = self
-            .deployed
-            .iter()
-            .filter(|(_, r)| {
-                r.borrows.iter().zip(&r.released).any(|(b, &released)| !released && b.from == id)
-            })
-            .map(|(&c, _)| c)
-            .collect();
-        for v in self.by_signature.values_mut() {
-            v.retain(|inst| inst.circuit != id);
-        }
-        self.by_signature.retain(|_, v| !v.is_empty());
-        if let Some(index) = &mut self.dht_index {
-            for member in 0..index.slots.len() {
-                let dead = index.slots[member].as_ref().is_some_and(|inst| inst.circuit == id);
-                if dead {
-                    index.slots[member] = None;
-                    index.catalog.remove(member as u32);
-                }
+    /// [`MultiQueryOptimizer::release`] for graceful departures. Reports
+    /// the retained subtrees of *other* departed circuits that drained as
+    /// the torn-down circuit's subscriptions cascaded (`retained` is always
+    /// empty: force teardown retains nothing of its own). `None` if the
+    /// circuit is unknown or already gone.
+    pub fn teardown(&mut self, id: CircuitId) -> Option<ReleaseReport> {
+        let rec = match self.deployed.remove(&id) {
+            Some(rec) => rec,
+            None => {
+                let pos = self.retained.iter().position(|(c, _)| *c == id)?;
+                self.retained.remove(pos).1
             }
-        }
+        };
+        // Circuits still subscribing to the torn-down circuit lose their
+        // feed: report them, in id order, so the caller can cascade the
+        // failure.
+        let subscribes = |r: &CircuitRecord| {
+            r.borrows.iter().zip(&r.released).any(|(b, &released)| !released && b.from == id)
+        };
+        let records = self.deployed.iter().map(|(&c, r)| (c, r));
+        let all = records.chain(self.retained.iter().map(|(c, r)| (*c, r)));
+        let mut orphaned: Vec<CircuitId> =
+            all.filter(|(_, r)| subscribes(r)).map(|(c, _)| c).collect();
+        orphaned.sort_unstable();
+        self.update_instances(|inst| inst.circuit == id, None);
         // Its refcounts die with it; later releases by its subscribers are
         // tolerated as no-ops (drain_subscriptions' None branch).
         self.subscribers.retain(|&(c, _), _| c != id);
@@ -842,12 +899,19 @@ impl MultiQueryOptimizer {
     }
 }
 
-/// Marks all services strictly below `sid` as shared.
-fn mark_subtree(circuit: &Circuit, sid: ServiceId, shared: &mut [bool]) {
-    for child in circuit.children(sid) {
-        shared[child.index()] = true;
-        mark_subtree(circuit, child, shared);
+/// `mask[service]`: the service is one of `roots` or sits beneath one.
+fn subtree_mask(circuit: &Circuit, roots: &[ServiceId]) -> Vec<bool> {
+    fn mark(circuit: &Circuit, sid: ServiceId, mask: &mut [bool]) {
+        mask[sid.index()] = true;
+        for child in circuit.children(sid) {
+            mark(circuit, child, mask);
+        }
     }
+    let mut mask = vec![false; circuit.len()];
+    for &root in roots {
+        mark(circuit, root, &mut mask);
+    }
+    mask
 }
 
 #[cfg(test)]
@@ -960,7 +1024,7 @@ mod tests {
         let (space, lat) = world();
         let mut mq = MultiQueryOptimizer::with_dht_index(OptimizerConfig::default(), &space, 16);
         let first = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::All).unwrap();
-        assert!(mq.teardown(first.id));
+        assert!(mq.teardown(first.id).is_some());
         let second = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
         assert!(second.reused.is_empty(), "DHT-indexed instance must be gone after teardown");
     }
@@ -971,10 +1035,10 @@ mod tests {
         let mut mq = MultiQueryOptimizer::new(OptimizerConfig::default());
         let first = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
         assert!(mq.num_instances() > 0);
-        assert!(mq.teardown(first.id));
+        assert!(mq.teardown(first.id).is_some());
         assert_eq!(mq.num_instances(), 0);
         assert_eq!(mq.num_circuits(), 0);
-        assert!(!mq.teardown(first.id), "double teardown must fail");
+        assert!(mq.teardown(first.id).is_none(), "double teardown must fail");
     }
 
     #[test]

@@ -599,56 +599,6 @@ struct Deployed {
     /// Registry id when the circuit was deployed through the multi-query
     /// optimizer (`RuntimeConfig::reuse` ≠ `None`).
     mq_id: Option<CircuitId>,
-    /// `shared[service]` — paid for by another circuit's instance; empty
-    /// when the circuit was deployed standalone. Usage accounting skips
-    /// links whose downstream endpoint is shared.
-    shared: Vec<bool>,
-}
-
-/// A departed circuit's subtree kept alive because other circuits still
-/// subscribe to one of its operator instances. Its charged links keep
-/// accruing network usage until the last subscriber releases.
-struct RetainedShared {
-    owner: CircuitId,
-    circuit: Circuit,
-    placement: Placement,
-    /// The owner's own shared mask (links it never paid for stay unpaid).
-    owner_shared: Vec<bool>,
-    /// Still-subscribed instance roots.
-    roots: Vec<ServiceId>,
-    /// `charge[link]` — the link still carries data for a retained subtree
-    /// and is billed to this entry.
-    charge: Vec<bool>,
-}
-
-/// `mask[service]`: the service is one of `roots` or sits beneath one.
-fn subtree_mask(circuit: &Circuit, roots: &[ServiceId]) -> Vec<bool> {
-    fn mark(circuit: &Circuit, sid: ServiceId, flags: &mut [bool]) {
-        for child in circuit.children(sid) {
-            flags[child.index()] = true;
-            mark(circuit, child, flags);
-        }
-    }
-    let mut in_subtree = vec![false; circuit.len()];
-    for &root in roots {
-        in_subtree[root.index()] = true;
-        mark(circuit, root, &mut in_subtree);
-    }
-    in_subtree
-}
-
-/// `charge[link]`: the link feeds a subtree rooted at one of `roots` and the
-/// owner actually paid for it (it is not inside a subtree the owner itself
-/// borrowed).
-fn charge_mask(circuit: &Circuit, roots: &[ServiceId], owner_shared: &[bool]) -> Vec<bool> {
-    let in_subtree = subtree_mask(circuit, roots);
-    circuit
-        .links()
-        .iter()
-        .map(|l| {
-            in_subtree[l.to.index()] && !owner_shared.get(l.to.index()).copied().unwrap_or(false)
-        })
-        .collect()
 }
 
 /// Accumulated query-lifecycle accounting: arrivals, departures, and the
@@ -1169,9 +1119,9 @@ pub struct OverlayRuntime {
     rng: rand::rngs::StdRng,
     optimizer: IntegratedOptimizer,
     /// Reuse-aware tenancy registry; `Some` iff `config.reuse` ≠ `None`.
+    /// The one owner of tenancy state: shared masks, billed links,
+    /// retained subtrees and entanglement.
     multiquery: Option<MultiQueryOptimizer>,
-    /// Departed circuits' subtrees still running for their subscribers.
-    retained: Vec<RetainedShared>,
     /// The single long-lived physical mapper, kept in sync with `space`.
     mapper: MapperState,
     /// Dirty tracking for re-optimization: which circuits each adaptation
@@ -1336,7 +1286,6 @@ impl OverlayRuntime {
             circuits: Vec::new(),
             rng,
             multiquery,
-            retained: Vec::new(),
             mapper,
             relevance: RelevanceIndex::new(),
             obs,
@@ -1397,8 +1346,11 @@ impl OverlayRuntime {
         // torn-down instance lose their feed and are torn down too, as are
         // retained shared subtrees with a service on the dead node. The
         // worklist is the registry's teardown reports, merged; `orphaned`
-        // is worked through in arrival order.
+        // is worked through in arrival order. Broken retained subtrees are
+        // read before any teardown: one that drains during the cascade was
+        // still running when the node died.
         let mut cascade = ReleaseReport::default();
+        let broken = self.multiquery.as_ref().map_or_else(Vec::new, |mq| mq.retained_on(node));
         let dead_pin = |d: &Deployed| d.circuit.services().iter().any(|s| s.pin == Pinned(node));
         let mut idx = 0;
         while let Some(skip) = self.circuits[idx..].iter().position(dead_pin) {
@@ -1406,17 +1358,9 @@ impl OverlayRuntime {
             let id = self.circuits[idx].mq_id;
             self.tear_down(Some(idx), id, &mut cascade);
         }
-        // Retained shared subtrees with any service on the dead node are
-        // broken: their (departed) owners join the teardown worklist.
-        cascade.orphaned.extend(self.retained.iter().filter_map(|r| {
-            let mask = subtree_mask(&r.circuit, &r.roots);
-            let broken = r
-                .circuit
-                .services()
-                .iter()
-                .any(|s| mask[s.id.index()] && r.placement.node_of(s.id) == node);
-            broken.then_some(r.owner)
-        }));
+        // Broken retained subtrees: their (departed) owners join the
+        // teardown worklist.
+        cascade.orphaned.extend(broken);
         // Cascade: tear down orphaned subscribers (and whatever their
         // teardown orphans in turn).
         let mut next = 0;
@@ -1425,7 +1369,6 @@ impl OverlayRuntime {
             let pos = self.circuits.iter().position(|d| d.mq_id == Some(id));
             self.tear_down(pos, Some(id), &mut cascade);
         }
-        self.apply_drains(&cascade.drained);
         self.apply_idle(&cascade.idle);
 
         // Evacuate unpinned services stranded on the dead node, through the
@@ -1460,9 +1403,8 @@ impl OverlayRuntime {
     }
 
     /// One failure-teardown step: fails the live circuit at `pos` (if
-    /// any), drops retained subtrees owned by registry circuit `id`, and
-    /// force-leaves `id` from the registry, queuing what that drains,
-    /// idles, and orphans onto the `work` list.
+    /// any) and force-leaves registry circuit `id` (live or retained),
+    /// queuing what that idles and orphans onto the `work` list.
     fn tear_down(&mut self, pos: Option<usize>, id: Option<CircuitId>, work: &mut ReleaseReport) {
         if let Some(pos) = pos {
             let d = self.circuits.remove(pos);
@@ -1470,9 +1412,7 @@ impl OverlayRuntime {
             self.relevance.remove(d.handle.0 as u64);
         }
         let Some(id) = id else { return };
-        self.retained.retain(|r| r.owner != id);
-        if let Some(rep) = self.multiquery.as_mut().and_then(|mq| mq.teardown_reporting(id)) {
-            work.drained.extend(rep.drained);
+        if let Some(rep) = self.multiquery.as_mut().and_then(|mq| mq.teardown(id)) {
             work.idle.extend(rep.idle);
             work.orphaned.extend(rep.orphaned);
         }
@@ -1493,34 +1433,6 @@ impl OverlayRuntime {
         }
     }
 
-    /// Applies cascaded drains reported by the registry: retained subtrees
-    /// whose last subscriber left stop accruing usage.
-    fn apply_drains(&mut self, drained: &[(CircuitId, ServiceId)]) {
-        for &(owner, root) in drained {
-            let Some(pos) = self.retained.iter().position(|r| r.owner == owner) else {
-                continue;
-            };
-            let entry = &mut self.retained[pos];
-            entry.roots.retain(|&s| s != root);
-            if entry.roots.is_empty() {
-                self.retained.remove(pos);
-            } else {
-                entry.charge = charge_mask(&entry.circuit, &entry.roots, &entry.owner_shared);
-            }
-        }
-    }
-
-    /// Whether a circuit is tenancy-entangled: it borrows shared subtrees
-    /// from others, or others subscribe to one of its instances. Entangled
-    /// circuits must not have their plan replaced (the swap would strand
-    /// tenants); untenanted ones may, with a registry re-registration.
-    fn is_entangled(multiquery: &Option<MultiQueryOptimizer>, d: &Deployed) -> bool {
-        let Some(mq) = multiquery else { return false };
-        let Some(id) = d.mq_id else { return false };
-        d.shared.iter().any(|&s| s)
-            || d.circuit.services().iter().any(|s| mq.refcount(id, s.id) > 0)
-    }
-
     /// Serial pre-filter of one adaptation pass: the indices of circuits
     /// the pass must evaluate. The plan-replacing passes (rewrite, full)
     /// pass over tenancy-entangled circuits — a plan swap under live
@@ -1533,7 +1445,8 @@ impl OverlayRuntime {
         let mut eval = Vec::new();
         let mut skipped = 0u64;
         for (i, d) in self.circuits.iter().enumerate() {
-            if kind != ReoptKind::Local && Self::is_entangled(&self.multiquery, d) {
+            let mq = self.multiquery.as_ref().zip(d.mq_id);
+            if kind != ReoptKind::Local && mq.is_some_and(|(mq, id)| mq.is_entangled(id)) {
                 continue;
             }
             if self.config.incremental_reopt && !self.relevance.is_dirty(kind, d.handle.0 as u64) {
@@ -1717,31 +1630,39 @@ impl OverlayRuntime {
         }
     }
 
-    /// Current instantaneous network usage: every live circuit's *charged*
-    /// links (marginal links under reuse — links paid for by a reused
-    /// instance's owner are skipped) plus the links of retained shared
-    /// subtrees whose owners departed but whose subscribers remain.
+    /// Current instantaneous network usage: every live circuit's links,
+    /// plus the links of retained shared subtrees whose owners departed but
+    /// whose subscribers remain. Under reuse the registry says which links
+    /// are billed (`sbon_core::multiquery`, "Billing rule"); a retained
+    /// subtree is priced at its owner's last placement.
     pub fn instantaneous_usage(&self) -> f64 {
-        let link_usage = |placement: &Placement, l: &Link| {
-            l.rate * self.latency.pair(placement.node_of(l.from), placement.node_of(l.to))
+        let price = |circuit: &Circuit, placement: &Placement, billed: Option<&[bool]>| {
+            let links = circuit.links().iter().enumerate();
+            let pair =
+                |l: &Link| self.latency.pair(placement.node_of(l.from), placement.node_of(l.to));
+            let billed = links.filter(|&(i, _)| billed.is_none_or(|b| b[i]));
+            billed.map(|(_, l)| l.rate * pair(l)).sum::<f64>()
         };
-        let live: f64 = self
-            .circuits
-            .iter()
-            .map(|d| {
-                let paid = |l: &&Link| !d.shared.get(l.to.index()).copied().unwrap_or(false);
-                let charged = d.circuit.links().iter().filter(paid);
-                charged.map(|l| link_usage(&d.placement, l)).sum::<f64>()
-            })
-            .sum();
-        let retained: f64 = self
-            .retained
-            .iter()
-            .map(|r| {
-                let charged = r.circuit.links().iter().zip(&r.charge).filter(|&(_, &c)| c);
-                charged.map(|(l, _)| link_usage(&r.placement, l)).sum::<f64>()
-            })
-            .sum();
+        let (live, retained): (f64, f64) = match &self.multiquery {
+            // A live circuit is priced from the runtime's own circuit and
+            // placement. The registry's copies are equal (a test pins
+            // that), but reading them cold on every tick made the
+            // tenant_storm tick measurably slower. The registry lists its
+            // live records in deploy order, as `circuits` does.
+            Some(mq) => {
+                assert_eq!(mq.num_circuits(), self.circuits.len(), "one record per live circuit");
+                let live = self.circuits.iter().zip(mq.live()).map(|(d, (id, rec))| {
+                    assert_eq!(d.mq_id, Some(id), "registry and runtime agree on deploy order");
+                    price(&d.circuit, &d.placement, Some(rec.billed()))
+                });
+                let retained =
+                    mq.retained().map(|r| price(r.circuit(), r.placement(), Some(r.billed())));
+                (live.sum(), retained.sum())
+            }
+            None => {
+                (self.circuits.iter().map(|d| price(&d.circuit, &d.placement, None)).sum(), 0.0)
+            }
+        };
         // `+ 0.0` normalizes the empty-sum identity `-0.0` to `+0.0` (and
         // changes nothing else), so idle baselines print and compare as
         // plain zero.
@@ -1773,7 +1694,7 @@ impl OverlayRuntime {
     }
 
     fn deploy_inner(&mut self, query: QuerySpec) -> Option<CircuitHandle> {
-        let (running_plan, circuit, placement, mq_id, shared, reused) = match &mut self.multiquery {
+        let (running_plan, circuit, placement, mq_id, reused) = match &mut self.multiquery {
             Some(mq) => {
                 let out = mq.optimize_and_deploy_with_mapper(
                     &query,
@@ -1792,7 +1713,7 @@ impl OverlayRuntime {
                     self.obs.registry.inc(self.obs.h.reuse_hits, 1);
                 }
                 self.obs.registry.inc(self.obs.h.reused_services, out.reused.len() as u64);
-                (out.plan, out.circuit, out.placement, Some(out.id), out.shared, out.reused)
+                (out.plan, out.circuit, out.placement, Some(out.id), out.reused)
             }
             None => {
                 let placed = self.optimizer.optimize_with_mapper(
@@ -1803,7 +1724,7 @@ impl OverlayRuntime {
                 )?;
                 self.obs.registry.gauge_add(self.obs.h.marginal_usage, placed.cost.network_usage);
                 self.obs.registry.gauge_add(self.obs.h.standalone_usage, placed.cost.network_usage);
-                (placed.plan, placed.circuit, placed.placement, None, Vec::new(), Vec::new())
+                (placed.plan, placed.circuit, placed.placement, None, Vec::new())
             }
         };
         // Tenancy pin: a subscribed instance is load-bearing for its new
@@ -1818,15 +1739,7 @@ impl OverlayRuntime {
         let handle = CircuitHandle(self.next_handle);
         self.next_handle += 1;
         self.obs.registry.inc(self.obs.h.arrivals, 1);
-        self.circuits.push(Deployed {
-            handle,
-            query,
-            running_plan,
-            circuit,
-            placement,
-            mq_id,
-            shared,
-        });
+        self.circuits.push(Deployed { handle, query, running_plan, circuit, placement, mq_id });
         // Routed backend: the deployment's mapping lookups are parked in
         // the mapper's outbox — replay them as message traffic now (the
         // routed clock carries the time forward between run ticks).
@@ -1850,18 +1763,6 @@ impl OverlayRuntime {
         self.relevance.remove(d.handle.0 as u64);
         if let (Some(mq), Some(mq_id)) = (&mut self.multiquery, d.mq_id) {
             if let Some(rep) = mq.release(mq_id) {
-                if !rep.retained.is_empty() {
-                    let charge = charge_mask(&d.circuit, &rep.retained, &d.shared);
-                    self.retained.push(RetainedShared {
-                        owner: mq_id,
-                        circuit: d.circuit,
-                        placement: d.placement,
-                        owner_shared: d.shared,
-                        roots: rep.retained,
-                        charge,
-                    });
-                }
-                self.apply_drains(&rep.drained);
                 self.apply_idle(&rep.idle);
             }
         }
@@ -1876,7 +1777,7 @@ impl OverlayRuntime {
 
     /// Departed circuits' shared subtrees still running for subscribers.
     pub fn retained_shared_subtrees(&self) -> usize {
-        self.retained.len()
+        self.multiquery.as_ref().map_or(0, MultiQueryOptimizer::num_retained)
     }
 
     /// Query-lifecycle accounting so far, assembled as a view over the
@@ -2108,7 +2009,6 @@ impl OverlayRuntime {
         d.running_plan = replacement.plan;
         d.circuit = replacement.circuit;
         d.placement = replacement.placement;
-        d.shared = Vec::new();
         // The swap invalidates the old registration; the replacement's
         // operators take its place.
         if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
@@ -2974,7 +2874,9 @@ mod tests {
         // ...and the borrower's shared subtree is fully pinned (phantoms
         // co-located with the instance: no phantom migrations possible).
         let borrower = &rt.circuits[1];
-        for (idx, &is_shared) in borrower.shared.iter().enumerate() {
+        let mq = rt.multiquery().unwrap();
+        let shared = mq.record(borrower.mq_id.unwrap()).unwrap().shared();
+        for (idx, &is_shared) in shared.iter().enumerate() {
             if is_shared {
                 assert!(!borrower.circuit.service(ServiceId(idx as u32)).is_unpinned());
             }
@@ -3082,6 +2984,115 @@ mod tests {
         // Replacements re-register under the same ids: no duplicate or
         // stale instances accumulate across swaps.
         assert_eq!(mq.num_instances(), instances_before);
+    }
+
+    /// The registry's placement of every live circuit equals the runtime's.
+    fn assert_registry_placements(rt: &OverlayRuntime) {
+        let mq = rt.multiquery().expect("reuse registry active");
+        for d in &rt.circuits {
+            let rec = mq.record(d.mq_id.unwrap()).expect("a live circuit is registered");
+            assert_eq!(Some(rec.placement()), rt.placement(d.handle));
+        }
+    }
+
+    /// Under reuse, usage prices links from the registry's copy of the
+    /// placement, so that copy must follow every path that moves a service:
+    /// local migrations, failure evacuation and plan swaps. A retained
+    /// subtree is then priced at its owner's last placement.
+    #[test]
+    fn registry_placements_follow_every_move_under_reuse() {
+        let topo = small_world(35);
+        let hosts = topo.host_candidates();
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            35,
+            RuntimeConfig {
+                horizon_ms: 30_000.0,
+                churn: ChurnProcess::RandomWalk { std_dev: 0.35 },
+                full_reopt_interval_ms: Some(3_000.0),
+                rewrite_interval_ms: Some(4_000.0),
+                policy: ReoptPolicy { migration_threshold: 0.05, replacement_threshold: 0.0 },
+                reuse: ReuseScope::All,
+                ..Default::default()
+            },
+        );
+        // An owner and its subscriber (identical queries), plus an
+        // untenanted circuit the plan-replacing passes may swap.
+        let q = demo_query(&topo);
+        let owner = rt.deploy(q.clone()).unwrap();
+        rt.deploy(q).unwrap();
+        let solo = QuerySpec::join_star(&[hosts[50], hosts[55], hosts[60]], hosts[65], 10.0, 0.02);
+        rt.deploy(solo).unwrap();
+        assert_eq!(rt.lifecycle_stats().reuse_hits, 1);
+        assert_registry_placements(&rt);
+        let owner_at_deploy = rt.placement(owner).unwrap().clone();
+
+        let mut session = rt.start_run();
+        let mut evacuated = 0;
+        while rt.advance_ticks(&mut session, 1) {
+            assert_registry_placements(&rt);
+            if session.ticks_done() != 10 {
+                continue;
+            }
+            // Fail a host of one of the owner's unpinned operators that no
+            // circuit pins: the operator is evacuated, nothing is torn down.
+            let pinned: Vec<NodeId> = rt
+                .circuits
+                .iter()
+                .flat_map(|d| d.circuit.services().iter())
+                .filter_map(|s| match s.pin {
+                    Pinned(n) => Some(n),
+                    _ => None,
+                })
+                .collect();
+            let d = rt.circuits.iter().find(|d| d.handle == owner).unwrap();
+            let victim = d
+                .circuit
+                .unpinned_services()
+                .into_iter()
+                .map(|sid| d.placement.node_of(sid))
+                .find(|n| !pinned.contains(n))
+                .expect("an owner operator on an unpinned host");
+            evacuated = rt.fail_node(victim);
+            assert_registry_placements(&rt);
+        }
+        let report = rt.finish_run(session);
+        assert!(evacuated > 0);
+        assert!(report.migrations > 0, "local re-opt must migrate");
+        assert!(report.replacements > 0, "a plan must be swapped");
+        assert_eq!(rt.active_queries(), 3);
+
+        // The owner departs while its subscriber runs: the subscribed
+        // subtree is retained at the owner's last placement.
+        let d = rt.circuits.iter().find(|d| d.handle == owner).unwrap();
+        let (circuit, last, id) = (d.circuit.clone(), d.placement.clone(), d.mq_id.unwrap());
+        assert_ne!(last, owner_at_deploy, "the evacuation moved the owner");
+        let mq = rt.multiquery().unwrap();
+        let mut in_subtree = vec![false; circuit.len()];
+        let mut stack: Vec<ServiceId> =
+            circuit.services().iter().map(|s| s.id).filter(|&s| mq.refcount(id, s) > 0).collect();
+        assert!(!stack.is_empty(), "the owner has a subscribed instance");
+        while let Some(sid) = stack.pop() {
+            in_subtree[sid.index()] = true;
+            stack.extend(circuit.children(sid));
+        }
+        let price =
+            |l: &&Link| l.rate * rt.latency().latency(last.node_of(l.from), last.node_of(l.to));
+        // The owner borrowed nothing: all its links are billed while it runs.
+        let owner_usage: f64 = circuit.links().iter().map(|l| price(&l)).sum();
+        let retained_usage: f64 =
+            circuit.links().iter().filter(|l| in_subtree[l.to.index()]).map(|l| price(&l)).sum();
+        let before = rt.instantaneous_usage();
+        assert!(rt.undeploy(owner));
+        assert_eq!(rt.retained_shared_subtrees(), 1);
+        let mq = rt.multiquery().unwrap();
+        assert_eq!(mq.retained().next().unwrap().placement(), &last);
+        let expected = before - owner_usage + retained_usage;
+        let after = rt.instantaneous_usage();
+        assert!(
+            (after - expected).abs() <= 1e-9 * before,
+            "retained usage {after} must price the owner's last placement ({expected})"
+        );
     }
 
     /// A full re-optimization that swaps a circuit also swaps the plan it

@@ -132,7 +132,7 @@ fn teardown_makes_instances_unavailable() {
     let first = mq
         .optimize_and_deploy(&query(&f, &[0, 1], 5), &f.space, &f.latency, ReuseScope::All)
         .unwrap();
-    assert!(mq.teardown(first.id));
+    assert!(mq.teardown(first.id).is_some());
     let second = mq
         .optimize_and_deploy(&query(&f, &[0, 1], 6), &f.space, &f.latency, ReuseScope::All)
         .unwrap();

@@ -182,7 +182,8 @@ proptest! {
             }
             let mq = rt.multiquery().expect("reuse registry active");
             // The gauge invariants that must hold at every step.
-            prop_assert!(mq.num_retained() >= rt.retained_shared_subtrees());
+            prop_assert_eq!(mq.num_retained(), rt.retained_shared_subtrees());
+            prop_assert_eq!(mq.num_circuits(), rt.active_queries());
             if live.is_empty() {
                 prop_assert_eq!(rt.active_queries(), 0);
             }
