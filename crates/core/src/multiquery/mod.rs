@@ -34,11 +34,21 @@
 //! released, which the workspace pins with a property test over random
 //! arrival/departure interleavings.
 //!
-//! The registry is the one owner of this state: each [`CircuitRecord`]
-//! holds its circuit's placement, shared mask and billed links; live
-//! records list in deploy order ([`MultiQueryOptimizer::live`]), retained
-//! ones in departure order ([`MultiQueryOptimizer::retained`]); and
-//! [`MultiQueryOptimizer::is_entangled`] says whose plan may be swapped.
+//! # One record per circuit
+//!
+//! The registry is the one table of deployed circuits: each circuit has
+//! exactly one [`CircuitRecord`] (query, running plan, circuit with its
+//! tenancy pins, placement, shared mask, billed links), and no other copy
+//! of its circuit or placement exists. Live records list in deploy order
+//! ([`MultiQueryOptimizer::live`]), retained ones in departure order
+//! ([`MultiQueryOptimizer::retained`]); [`MultiQueryOptimizer::is_entangled`]
+//! says whose plan may be swapped. Moves ([`MultiQueryOptimizer::relocate`])
+//! and plan swaps ([`MultiQueryOptimizer::reregister`]) update the record
+//! and the discovery index together.
+//!
+//! **Tenancy pins.** The registry pins a subscribed instance in its running
+//! owner's circuit, so it is never migrated, and lifts the pin when the
+//! last subscription drains ([`ReleaseReport::idle`]).
 //!
 //! **Billing rule.** A link is billed to the record that holds it only if
 //! its downstream endpoint is not shared (a shared endpoint and its feed
@@ -58,6 +68,8 @@ use crate::circuit::{Circuit, CircuitCost, Placement, Service, ServiceId, Servic
 use crate::costspace::CostSpace;
 use crate::optimizer::{OptimizerConfig, QuerySpec};
 use crate::placement::{map_circuit, OracleMapper, PhysicalMapper, VirtualPlacer};
+use crate::reopt::Migration;
+use sbon_query::plan::LogicalPlan;
 
 /// Identifier of a deployed circuit in the [`MultiQueryOptimizer`]'s
 /// registry.
@@ -99,7 +111,7 @@ pub struct MultiQueryOutcome {
     /// Host assignment (covers reused services too).
     pub placement: Placement,
     /// The chosen plan (after filter attachment).
-    pub plan: sbon_query::plan::LogicalPlan,
+    pub plan: LogicalPlan,
     /// *Marginal* measured cost: network usage added by the new circuit,
     /// excluding links already paid for by the reused subtrees.
     pub marginal_cost: CircuitCost,
@@ -130,20 +142,16 @@ pub struct ReleaseReport {
     /// drains to zero.
     pub retained: Vec<ServiceId>,
     /// `(owner circuit, service)` instances whose refcount drained to zero
-    /// during this release *after their owner had already departed* — the
-    /// retained subtree is gone for good and its usage stops accruing. May
-    /// name circuits other than the one released (cascading drains along
-    /// reuse chains).
-    pub drained: Vec<(CircuitId, ServiceId)>,
-    /// `(owner circuit, service)` instances whose refcount drained to zero
-    /// while their owner is **still running** — the tenancy pin that froze
-    /// the instance in place can be lifted (it is migratable again).
+    /// while their owner is **still running**: the registry lifted the
+    /// tenancy pin that froze the instance in place (it is migratable
+    /// again).
     pub idle: Vec<(CircuitId, ServiceId)>,
-    /// Circuits left holding a live subscription on the torn-down circuit —
+    /// Circuits left holding a live subscription on a torn-down subtree —
     /// their shared feed no longer exists. Only populated by
-    /// [`MultiQueryOptimizer::teardown`] (a graceful `release`
-    /// retains subscribed subtrees instead of stranding anyone); the caller
-    /// decides how the failure cascades.
+    /// [`MultiQueryOptimizer::teardown_roots`] and
+    /// [`MultiQueryOptimizer::teardown`] (a graceful `release` retains
+    /// subscribed subtrees instead of stranding anyone); the caller decides
+    /// how the failure cascades.
     pub orphaned: Vec<CircuitId>,
 }
 
@@ -159,9 +167,13 @@ struct Borrow {
 }
 
 /// Registry record of one deployed (possibly departed-but-retained)
-/// circuit.
+/// circuit: the only copy of its circuit and placement (module docs).
 #[derive(Clone)]
 pub struct CircuitRecord {
+    query: QuerySpec,
+    /// The plan the circuit runs (replaced by plan swaps).
+    plan: LogicalPlan,
+    /// The running circuit, tenancy pins included.
     circuit: Circuit,
     placement: Placement,
     /// Per-service shared flag (see [`MultiQueryOutcome::shared`]).
@@ -175,6 +187,28 @@ pub struct CircuitRecord {
 }
 
 impl CircuitRecord {
+    /// A fresh record with nothing billed or borrowed yet.
+    fn new(
+        query: QuerySpec,
+        plan: LogicalPlan,
+        circuit: Circuit,
+        placement: Placement,
+        shared: Vec<bool>,
+    ) -> Self {
+        let (billed, borrows, released) = (Vec::new(), Vec::new(), Vec::new());
+        CircuitRecord { query, plan, circuit, placement, shared, billed, borrows, released }
+    }
+
+    /// The query the circuit answers.
+    pub fn query(&self) -> &QuerySpec {
+        &self.query
+    }
+
+    /// The plan the circuit runs.
+    pub fn plan(&self) -> &LogicalPlan {
+        &self.plan
+    }
+
     /// Where the circuit's services run (a retained record keeps its
     /// owner's last placement).
     pub fn placement(&self) -> &Placement {
@@ -186,7 +220,7 @@ impl CircuitRecord {
         &self.shared
     }
 
-    /// The circuit as registered (reuse pins aside, the running one).
+    /// The running circuit, tenancy pins included.
     pub fn circuit(&self) -> &Circuit {
         &self.circuit
     }
@@ -250,8 +284,9 @@ pub struct MultiQueryOptimizer {
     // process-random (sbon-lint: unordered-iteration).
     /// Running instances indexed by signature.
     by_signature: BTreeMap<String, Vec<ServiceInstance>>,
-    /// Running circuits.
-    deployed: BTreeMap<CircuitId, CircuitRecord>,
+    /// Running circuits in deploy order. Ids are assigned in deploy order,
+    /// so the list is sorted by id and a lookup is a binary search.
+    live: Vec<(CircuitId, CircuitRecord)>,
     /// Departed circuits whose subtrees subscribers still retain, in
     /// departure order.
     retained: Vec<(CircuitId, CircuitRecord)>,
@@ -268,7 +303,7 @@ impl MultiQueryOptimizer {
             config,
             next_id: 0,
             by_signature: BTreeMap::new(),
-            deployed: BTreeMap::new(),
+            live: Vec::new(),
             retained: Vec::new(),
             subscribers: BTreeMap::new(),
             dht_index: None,
@@ -298,7 +333,7 @@ impl MultiQueryOptimizer {
 
     /// Number of running (non-departed) circuits.
     pub fn num_circuits(&self) -> usize {
-        self.deployed.len()
+        self.live.len()
     }
 
     /// Number of departed circuits whose subtrees are still retained by
@@ -310,21 +345,31 @@ impl MultiQueryOptimizer {
     /// The record of a running or retained circuit.
     pub fn record(&self, id: CircuitId) -> Option<&CircuitRecord> {
         let retained = || self.retained.iter().find(|(c, _)| *c == id).map(|(_, r)| r);
-        self.deployed.get(&id).or_else(retained)
+        self.live_record(id).or_else(retained)
     }
 
     /// [`Self::record`], mutable.
     fn record_mut(&mut self, id: CircuitId) -> Option<&mut CircuitRecord> {
-        match self.deployed.get_mut(&id) {
-            Some(rec) => Some(rec),
+        match self.live_pos(id) {
+            Some(pos) => Some(&mut self.live[pos].1),
             None => self.retained.iter_mut().find(|(c, _)| *c == id).map(|(_, r)| r),
         }
+    }
+
+    /// Where running circuit `id` sits in the deploy-ordered live list.
+    fn live_pos(&self, id: CircuitId) -> Option<usize> {
+        self.live.binary_search_by_key(&id, |&(c, _)| c).ok()
+    }
+
+    /// The record of a running circuit (`None` once it departed or failed).
+    pub fn live_record(&self, id: CircuitId) -> Option<&CircuitRecord> {
+        self.live_pos(id).map(|pos| &self.live[pos].1)
     }
 
     /// Running circuits' records, in deploy order (ids are assigned in
     /// deploy order and kept across [`Self::reregister`]).
     pub fn live(&self) -> impl Iterator<Item = (CircuitId, &CircuitRecord)> + '_ {
-        self.deployed.iter().map(|(&id, rec)| (id, rec))
+        self.live.iter().map(|(id, rec)| (*id, rec))
     }
 
     /// Retained circuits' records, in departure order.
@@ -332,16 +377,22 @@ impl MultiQueryOptimizer {
         self.retained.iter().map(|(_, rec)| rec)
     }
 
-    /// Retained circuits, in departure order, with a service of a
-    /// still-subscribed subtree on `node`: what a failure of `node` breaks.
-    pub fn retained_on(&self, node: NodeId) -> Vec<CircuitId> {
-        let broken = |(id, rec): &&(CircuitId, CircuitRecord)| {
-            let running = subtree_mask(&rec.circuit, &self.subscribed_roots(*id));
-            let on_node =
-                |s: &Service| running[s.id.index()] && rec.placement.node_of(s.id) == node;
-            rec.circuit.services().iter().any(on_node)
+    /// What a failure of `node` breaks among the retained circuits: each
+    /// one (in departure order) with its still-subscribed roots whose
+    /// subtree has a service on `node`. Feed them to
+    /// [`Self::teardown_roots`].
+    pub fn retained_on(&self, node: NodeId) -> Vec<(CircuitId, Vec<ServiceId>)> {
+        let broken = |(id, rec): &(CircuitId, CircuitRecord)| {
+            let on_node = |&root: &ServiceId| {
+                let subtree = subtree_mask(&rec.circuit, &[root]);
+                let mut services = rec.circuit.services().iter();
+                services.any(|s| subtree[s.id.index()] && rec.placement.node_of(s.id) == node)
+            };
+            let roots: Vec<ServiceId> =
+                self.subscribed_roots(*id).into_iter().filter(on_node).collect();
+            (!roots.is_empty()).then_some((*id, roots))
         };
-        self.retained.iter().filter(broken).map(|(id, _)| *id).collect()
+        self.retained.iter().filter_map(broken).collect()
     }
 
     /// Whether circuit `id` is tenancy-entangled: it borrows a shared
@@ -425,18 +476,40 @@ impl MultiQueryOptimizer {
 
         let mut chosen = best?;
         chosen.candidates_examined = total_candidates;
-        chosen.id = CircuitId(self.next_id);
-        self.next_id += 1;
-        self.register(
-            chosen.id,
-            &chosen.circuit,
-            &chosen.placement,
-            &chosen.shared,
-            &chosen.reused,
-            &chosen.reused_at,
-            space,
-        );
+        chosen.id = self.next_circuit_id();
+        let (circuit, placement) = (chosen.circuit.clone(), chosen.placement.clone());
+        let shared = chosen.shared.clone();
+        let mut rec =
+            CircuitRecord::new(query.clone(), chosen.plan.clone(), circuit, placement, shared);
+        let reuse = chosen.reused.iter().zip(&chosen.reused_at);
+        rec.borrows = reuse
+            .map(|(inst, &at)| Borrow { at, from: inst.circuit, service: inst.service })
+            .collect();
+        self.register(chosen.id, rec, space);
         Some(chosen)
+    }
+
+    /// Registers a circuit placed without reuse (the caller ran its own
+    /// optimizer) and returns its id. It shares nothing and borrows
+    /// nothing; its operators become reusable instances like any other.
+    pub fn register_alone(
+        &mut self,
+        query: QuerySpec,
+        plan: LogicalPlan,
+        circuit: Circuit,
+        placement: Placement,
+        space: &CostSpace,
+    ) -> CircuitId {
+        let id = self.next_circuit_id();
+        let shared = vec![false; circuit.len()];
+        self.register(id, CircuitRecord::new(query, plan, circuit, placement, shared), space);
+        id
+    }
+
+    /// Assigns the next id (ids count successful deploys).
+    fn next_circuit_id(&mut self) -> CircuitId {
+        self.next_id += 1;
+        CircuitId(self.next_id - 1)
     }
 
     /// Places one candidate plan with reuse, returning its outcome (not yet
@@ -444,7 +517,7 @@ impl MultiQueryOptimizer {
     #[allow(clippy::too_many_arguments)]
     fn place_one_plan(
         &mut self,
-        plan: &sbon_query::plan::LogicalPlan,
+        plan: &LogicalPlan,
         query: &QuerySpec,
         space: &CostSpace,
         latency: &dyn LatencyProvider,
@@ -610,29 +683,21 @@ impl MultiQueryOptimizer {
         }
     }
 
-    /// Registers a deployed circuit: its *own* (non-shared) operator
-    /// services become reusable instances, and every reused instance gains
-    /// a subscription. Shared services are deliberately **not** registered —
-    /// they are someone else's physical instance, and a duplicate phantom
+    /// Registers a deployed circuit under `id`: its *own* (non-shared)
+    /// operator services become reusable instances, and every borrow in
+    /// `rec` takes a subscription and pins the instance in its running
+    /// owner's circuit. Shared services are deliberately **not** registered
+    /// — they are someone else's physical instance, and a duplicate phantom
     /// registration would let future queries subscribe to a circuit that
-    /// merely borrows the service.
-    #[allow(clippy::too_many_arguments)]
-    fn register(
-        &mut self,
-        id: CircuitId,
-        circuit: &Circuit,
-        placement: &Placement,
-        shared: &[bool],
-        reused: &[ServiceInstance],
-        reused_at: &[ServiceId],
-        space: &CostSpace,
-    ) {
-        for s in circuit.services() {
-            if shared[s.id.index()] {
+    /// merely borrows the service. A new id appends to the live list; a
+    /// re-registered one keeps its place.
+    fn register(&mut self, id: CircuitId, mut rec: CircuitRecord, space: &CostSpace) {
+        for s in rec.circuit.services() {
+            if rec.shared[s.id.index()] {
                 continue;
             }
             if let ServiceKind::Operator { signature } = &s.kind {
-                let node = placement.node_of(s.id);
+                let node = rec.placement.node_of(s.id);
                 let instance = ServiceInstance {
                     circuit: id,
                     service: s.id,
@@ -648,25 +713,19 @@ impl MultiQueryOptimizer {
                 self.by_signature.entry(signature.clone()).or_default().push(instance);
             }
         }
-        let borrows: Vec<Borrow> = reused
-            .iter()
-            .zip(reused_at)
-            .map(|(inst, &at)| Borrow { at, from: inst.circuit, service: inst.service })
-            .collect();
-        for b in &borrows {
+        for b in &rec.borrows {
             *self.subscribers.entry((b.from, b.service)).or_default() += 1;
+            if let Some(pos) = self.live_pos(b.from) {
+                let owner = &mut self.live[pos].1;
+                owner.circuit.pin_service(b.service, owner.placement.node_of(b.service));
+            }
         }
-        let released = vec![false; borrows.len()];
-        let mut rec = CircuitRecord {
-            circuit: circuit.clone(),
-            placement: placement.clone(),
-            shared: shared.to_vec(),
-            billed: Vec::new(),
-            borrows,
-            released,
-        };
+        rec.released = vec![false; rec.borrows.len()];
         rec.bill(None);
-        self.deployed.insert(id, rec);
+        match self.live.binary_search_by_key(&id, |&(c, _)| c) {
+            Ok(pos) => self.live[pos].1 = rec,
+            Err(pos) => self.live.insert(pos, (id, rec)),
+        }
     }
 
     /// The departing-or-departed circuit's still-subscribed own services.
@@ -738,7 +797,6 @@ impl MultiQueryOptimizer {
     fn drain_subscriptions(
         &mut self,
         mut queue: Vec<(CircuitId, ServiceId)>,
-        drained: &mut Vec<(CircuitId, ServiceId)>,
         idle: &mut Vec<(CircuitId, ServiceId)>,
     ) {
         while let Some((oc, os)) = queue.pop() {
@@ -760,15 +818,17 @@ impl MultiQueryOptimizer {
             }
             self.subscribers.remove(&(oc, os));
             let Some(pos) = self.retained.iter().position(|(c, _)| *c == oc) else {
-                // The owner still runs it for itself; report the instance
-                // idle so the caller can lift the tenancy pin.
+                // The owner still runs it for itself: lift the tenancy pin
+                // and report the instance idle.
+                if let Some(pos) = self.live_pos(oc) {
+                    self.live[pos].1.circuit.unpin_service(os);
+                }
                 idle.push((oc, os));
                 continue;
             };
             // The retained subtree drains: out of the index, usage stops,
             // and the borrows only it was holding cascade.
             self.remove_instance(oc, os);
-            drained.push((oc, os));
             let surviving = self.subscribed_roots(oc);
             queue.extend(self.release_borrows_outside(oc, &surviving));
             if surviving.is_empty() {
@@ -784,50 +844,44 @@ impl MultiQueryOptimizer {
     /// retained until their refcount drains (module docs). Returns `None`
     /// if the circuit is unknown or was already released.
     pub fn release(&mut self, id: CircuitId) -> Option<ReleaseReport> {
-        if !self.deployed.contains_key(&id) {
-            return None;
-        }
+        let pos = self.live_pos(id)?;
         let retained = self.subscribed_roots(id);
         // Unsubscribed own instances leave the index now; retained ones stay
         // discoverable (they keep running, new arrivals may still attach).
         let gone: Vec<ServiceId> =
-            self.deployed[&id].instances().filter(|s| !retained.contains(s)).collect();
+            self.live[pos].1.instances().filter(|s| !retained.contains(s)).collect();
         for s in gone {
             self.remove_instance(id, s);
         }
         let freed = self.release_borrows_outside(id, &retained);
-        let mut rec = self.deployed.remove(&id).expect("a running circuit has a record");
+        let (_, mut rec) = self.live.remove(pos);
         if !retained.is_empty() {
             rec.bill(Some(&retained));
             self.retained.push((id, rec));
         }
-        let mut drained = Vec::new();
         let mut idle = Vec::new();
-        self.drain_subscriptions(freed, &mut drained, &mut idle);
-        Some(ReleaseReport { retained, drained, idle, orphaned: Vec::new() })
+        self.drain_subscriptions(freed, &mut idle);
+        Some(ReleaseReport { retained, idle, orphaned: Vec::new() })
     }
 
-    /// Re-homes one instance after its host changed (migration or failure
-    /// evacuation): updates the discovery index so future reuse pins at the
-    /// new node. No-op if the instance is not registered.
-    pub fn relocate(
-        &mut self,
-        circuit: CircuitId,
-        service: ServiceId,
-        node: NodeId,
-        space: &CostSpace,
-    ) {
-        let hit = |inst: &ServiceInstance| inst.circuit == circuit && inst.service == service;
-        self.update_instances(hit, Some((node, space.point(node).as_slice())));
-        if let Some(rec) = self.record_mut(circuit) {
-            rec.placement.move_service(service, node);
+    /// Commits the `moves` of circuit `circuit` in order (local migration
+    /// or failure evacuation): each updates the record's placement and, for
+    /// a registered instance, the discovery index, so future reuse pins at
+    /// the new host.
+    pub fn relocate(&mut self, circuit: CircuitId, moves: &[Migration], space: &CostSpace) {
+        for &Migration { service, to, .. } in moves {
+            let hit = |inst: &ServiceInstance| inst.circuit == circuit && inst.service == service;
+            self.update_instances(hit, Some((to, space.point(to).as_slice())));
+            if let Some(rec) = self.record_mut(circuit) {
+                rec.placement.move_service(service, to);
+            }
         }
     }
 
-    /// Replaces a running circuit's registration after a plan swap
-    /// (rewrite / full re-optimization): the old circuit's instances leave
-    /// the discovery index and the replacement's operators register in
-    /// their place under the same [`CircuitId`].
+    /// Swaps a running circuit onto a new plan (rewrite / full
+    /// re-optimization): the old circuit's instances leave the discovery
+    /// index and the replacement's operators register in their place under
+    /// the same [`CircuitId`], which keeps its place in deploy order.
     ///
     /// Only circuits that are not [entangled](Self::is_entangled) may be
     /// swapped — panics otherwise (a swap would strand those tenants; the
@@ -835,67 +889,77 @@ impl MultiQueryOptimizer {
     pub fn reregister(
         &mut self,
         id: CircuitId,
-        circuit: &Circuit,
-        placement: &Placement,
+        plan: LogicalPlan,
+        circuit: Circuit,
+        placement: Placement,
         space: &CostSpace,
     ) {
-        let rec = self.deployed.get(&id).expect("reregister of an unknown or departed circuit");
+        let rec = self.live_record(id).expect("reregister of an unknown or departed circuit");
         assert!(
             !self.is_entangled(id),
             "cannot reregister an entangled circuit (it borrows from others or has subscribed instances)"
         );
+        let query = rec.query.clone();
         let old_instances: Vec<ServiceId> = rec.instances().collect();
         for s in old_instances {
             self.remove_instance(id, s);
         }
-        self.deployed.remove(&id);
         let shared = vec![false; circuit.len()];
-        self.register(id, circuit, placement, &shared, &[], &[], space);
+        self.register(id, CircuitRecord::new(query, plan, circuit, placement, shared), space);
     }
 
     /// Force-tears a circuit down, removing its instances from the reuse
     /// index **regardless of subscribers** — the failure path (the service
     /// died; subscribers' releases become no-ops). Use
     /// [`MultiQueryOptimizer::release`] for graceful departures. Reports
-    /// the retained subtrees of *other* departed circuits that drained as
-    /// the torn-down circuit's subscriptions cascaded (`retained` is always
-    /// empty: force teardown retains nothing of its own). `None` if the
-    /// circuit is unknown or already gone.
+    /// the instances its cascading subscriptions left idle and the circuits
+    /// it orphaned (`retained` is always empty: force teardown retains
+    /// nothing of its own). `None` if the circuit is unknown or already
+    /// gone.
     pub fn teardown(&mut self, id: CircuitId) -> Option<ReleaseReport> {
-        let rec = match self.deployed.remove(&id) {
-            Some(rec) => rec,
-            None => {
-                let pos = self.retained.iter().position(|(c, _)| *c == id)?;
-                self.retained.remove(pos).1
-            }
-        };
-        // Circuits still subscribing to the torn-down circuit lose their
-        // feed: report them, in id order, so the caller can cascade the
-        // failure.
+        let roots: Vec<ServiceId> = self.record(id)?.instances().collect();
+        self.teardown_roots(id, &roots)
+    }
+
+    /// Force-tears down the subtrees under `roots` of circuit `id` — for a
+    /// retained circuit, the roots a failure broke ([`Self::retained_on`]):
+    /// they leave the index, their refcounts die, and the circuits that
+    /// subscribe to them are reported orphaned (in id order). The borrows
+    /// only those subtrees needed cascade like a release; surviving roots
+    /// keep running and are re-billed, and a circuit left with none is
+    /// removed (a live circuit goes down whole: pass all its instances, as
+    /// [`Self::teardown`] does). `None` if the circuit is unknown or
+    /// already gone.
+    pub fn teardown_roots(&mut self, id: CircuitId, roots: &[ServiceId]) -> Option<ReleaseReport> {
+        self.record(id)?;
         let subscribes = |r: &CircuitRecord| {
-            r.borrows.iter().zip(&r.released).any(|(b, &released)| !released && b.from == id)
+            let mut borrows = r.borrows.iter().zip(&r.released);
+            borrows.any(|(b, &released)| !released && b.from == id && roots.contains(&b.service))
         };
-        let records = self.deployed.iter().map(|(&c, r)| (c, r));
-        let all = records.chain(self.retained.iter().map(|(c, r)| (*c, r)));
+        let all = self.live.iter().chain(&self.retained);
         let mut orphaned: Vec<CircuitId> =
-            all.filter(|(_, r)| subscribes(r)).map(|(c, _)| c).collect();
+            all.filter(|(_, r)| subscribes(r)).map(|(c, _)| *c).collect();
         orphaned.sort_unstable();
-        self.update_instances(|inst| inst.circuit == id, None);
-        // Its refcounts die with it; later releases by its subscribers are
-        // tolerated as no-ops (drain_subscriptions' None branch).
-        self.subscribers.retain(|&(c, _), _| c != id);
-        // Its own outstanding subscriptions cascade like a release.
-        let freed: Vec<(CircuitId, ServiceId)> = rec
-            .borrows
-            .iter()
-            .zip(&rec.released)
-            .filter(|(_, &released)| !released)
-            .map(|(b, _)| (b.from, b.service))
-            .collect();
-        let mut drained = Vec::new();
+        // The roots' refcounts die with them; later releases by their
+        // subscribers are tolerated as no-ops (drain_subscriptions' None
+        // branch).
+        for &s in roots {
+            self.remove_instance(id, s);
+            self.subscribers.remove(&(id, s));
+        }
+        let surviving = self.subscribed_roots(id);
+        let freed = self.release_borrows_outside(id, &surviving);
+        if !surviving.is_empty() {
+            let rec = self.retained.iter_mut().find(|(c, _)| *c == id);
+            rec.expect("only a retained circuit keeps some of its roots").1.bill(Some(&surviving));
+        } else if let Some(pos) = self.live_pos(id) {
+            self.live.remove(pos);
+        } else {
+            self.retained.retain(|(c, _)| *c != id);
+        }
         let mut idle = Vec::new();
-        self.drain_subscriptions(freed, &mut drained, &mut idle);
-        Some(ReleaseReport { retained: Vec::new(), drained, idle, orphaned })
+        self.drain_subscriptions(freed, &mut idle);
+        Some(ReleaseReport { retained: Vec::new(), idle, orphaned })
     }
 }
 
@@ -1074,7 +1138,9 @@ mod tests {
 
         let rep = mq.release(b.id).expect("b releases once");
         assert!(rep.retained.is_empty(), "nothing subscribes to b");
-        assert!(rep.drained.is_empty(), "a still runs its own join");
+        assert_eq!(rep.idle, vec![(oc, os)], "a still runs its own join");
+        assert_eq!(mq.num_instances(), 1);
+        assert_eq!(mq.num_retained(), 0);
         assert_eq!(mq.refcount(oc, os), 0);
         assert_eq!(mq.total_subscriptions(), 0);
         assert!(mq.release(b.id).is_none(), "double release must fail");
@@ -1093,7 +1159,7 @@ mod tests {
         // stay discoverable.
         let rep = mq.release(a.id).expect("a releases");
         assert_eq!(rep.retained, vec![shared_sid]);
-        assert!(rep.drained.is_empty());
+        assert_eq!(mq.refcount(a.id, shared_sid), 1);
         assert_eq!(mq.num_circuits(), 1, "only b still counts as running");
         assert_eq!(mq.num_retained(), 1);
         assert!(mq.num_instances() > 0, "retained instance stays discoverable");
@@ -1105,10 +1171,11 @@ mod tests {
         assert_eq!(mq.refcount(a.id, shared_sid), 2);
 
         // Last subscriber out drains the retained subtree.
-        let rep_b = mq.release(b.id).unwrap();
-        assert!(rep_b.drained.is_empty(), "c still subscribes");
-        let rep_c = mq.release(c.id).unwrap();
-        assert_eq!(rep_c.drained, vec![(a.id, shared_sid)]);
+        mq.release(b.id).unwrap();
+        assert_eq!(mq.num_retained(), 1, "c still subscribes");
+        assert_eq!(mq.refcount(a.id, shared_sid), 1);
+        mq.release(c.id).unwrap();
+        assert_eq!(mq.refcount(a.id, shared_sid), 0);
         assert_eq!(mq.total_subscriptions(), 0);
         assert_eq!(mq.num_instances(), 0);
         assert_eq!(mq.num_retained(), 0);
@@ -1148,7 +1215,7 @@ mod tests {
             .id;
         placement.move_service(join, NodeId(9));
         replacement.pin_service(join, NodeId(9));
-        mq.reregister(a.id, &replacement, &placement, &space);
+        mq.reregister(a.id, a.plan.clone(), replacement, placement, &space);
         assert_eq!(mq.num_circuits(), 1, "same circuit count after the swap");
         assert_eq!(mq.num_instances(), 1, "old instance replaced, not duplicated");
         // Future reuse attaches to the replacement's host under a's id.
@@ -1166,7 +1233,7 @@ mod tests {
         let a = mq.optimize_and_deploy(&query(5), &space, &lat, ReuseScope::None).unwrap();
         let b = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
         assert_eq!(b.reused.len(), 1);
-        mq.reregister(a.id, &a.circuit, &a.placement, &space);
+        mq.reregister(a.id, a.plan, a.circuit, a.placement, &space);
     }
 
     #[test]
@@ -1181,7 +1248,8 @@ mod tests {
             .find(|s| matches!(s.kind, ServiceKind::Operator { .. }))
             .unwrap()
             .id;
-        mq.relocate(a.id, join_sid, NodeId(11), &space);
+        let from = a.placement.node_of(join_sid);
+        mq.relocate(a.id, &[Migration { service: join_sid, from, to: NodeId(11) }], &space);
         let b = mq.optimize_and_deploy(&query(6), &space, &lat, ReuseScope::All).unwrap();
         assert_eq!(b.reused.len(), 1);
         assert_eq!(b.reused[0].node, NodeId(11));

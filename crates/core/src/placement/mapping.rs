@@ -360,15 +360,9 @@ impl DhtMapper {
     }
 
     /// A read-only view for one circuit evaluation (see
-    /// [`MapperReadView`]). `memo` enables the per-view mapping memo that
-    /// collapses repeated lookups of bit-identical ideal points.
-    pub fn read_view(&self, memo: bool) -> DhtMapperReadView<'_> {
-        DhtMapperReadView {
-            catalog: &self.catalog,
-            stats: sbon_dht::catalog::CatalogStats::default(),
-            spans: Vec::new(),
-            memo: if memo { Some(std::collections::BTreeMap::new()) } else { None },
-        }
+    /// [`MapperReadView`] and [`DhtMapperReadView`]).
+    pub fn read_view(&self) -> DhtMapperReadView<'_> {
+        DhtMapperReadView::new(&self.catalog)
     }
 
     /// [`PhysicalMapper::update_node`] that reports the exact `(old, new)`
@@ -499,13 +493,8 @@ impl RoutedMapper {
     /// view traffic by re-issuing the observed lookups itself if it wants
     /// them experienced (the runtime charges view stats back and settles
     /// only live-path lookups).
-    pub fn read_view(&self, memo: bool) -> DhtMapperReadView<'_> {
-        DhtMapperReadView {
-            catalog: self.routed.catalog(),
-            stats: sbon_dht::catalog::CatalogStats::default(),
-            spans: Vec::new(),
-            memo: if memo { Some(std::collections::BTreeMap::new()) } else { None },
-        }
+    pub fn read_view(&self) -> DhtMapperReadView<'_> {
+        DhtMapperReadView::new(self.routed.catalog())
     }
 
     /// [`PhysicalMapper::update_node`] reporting the exact `(old, new)` ring
@@ -617,19 +606,29 @@ pub struct ReadObservation {
 /// scanned ring region is recorded, so the evaluation's full read set is
 /// known when it finishes.
 ///
-/// The optional memo collapses repeated lookups of **bit-identical** ideal
-/// points (keyed on the exact `f64` bit patterns). The catalog never
-/// mutates during a view's lifetime, so a memo hit returns exactly what the
-/// lookup would have; it charges no new traffic and records no new span —
-/// the first miss already recorded the covering span.
+/// A memo collapses repeated lookups of **bit-identical** ideal points
+/// (keyed on the exact `f64` bit patterns). The catalog never mutates
+/// during a view's lifetime, so a memo hit returns exactly what the lookup
+/// would have; it charges no new traffic and records no new span — the
+/// first miss already recorded the covering span.
 pub struct DhtMapperReadView<'a> {
     catalog: &'a CoordinateCatalog<HilbertCurve>,
     stats: sbon_dht::catalog::CatalogStats,
     spans: Vec<sbon_dht::catalog::ScanSpan>,
-    memo: Option<std::collections::BTreeMap<Vec<u64>, (NodeId, usize)>>,
+    memo: std::collections::BTreeMap<Vec<u64>, (NodeId, usize)>,
 }
 
-impl DhtMapperReadView<'_> {
+impl<'a> DhtMapperReadView<'a> {
+    /// A fresh view over `catalog`: nothing observed, empty memo.
+    fn new(catalog: &'a CoordinateCatalog<HilbertCurve>) -> Self {
+        DhtMapperReadView {
+            catalog,
+            stats: sbon_dht::catalog::CatalogStats::default(),
+            spans: Vec::new(),
+            memo: std::collections::BTreeMap::new(),
+        }
+    }
+
     /// Consumes the view, yielding everything it observed.
     pub fn into_observation(self) -> ReadObservation {
         ReadObservation { stats: self.stats, spans: self.spans, whole_space: false }
@@ -639,12 +638,9 @@ impl DhtMapperReadView<'_> {
 impl PhysicalMapper for DhtMapperReadView<'_> {
     fn map_point(&mut self, space: &CostSpace, ideal: &CostPoint) -> (NodeId, usize) {
         let _ = space; // coordinates were registered at build/update time
-        let key: Option<Vec<u64>> =
-            self.memo.as_ref().map(|_| ideal.as_slice().iter().map(|v| v.to_bits()).collect());
-        if let (Some(memo), Some(key)) = (&self.memo, &key) {
-            if let Some(&(node, hops)) = memo.get(key) {
-                return (node, hops);
-            }
+        let key: Vec<u64> = ideal.as_slice().iter().map(|v| v.to_bits()).collect();
+        if let Some(&answer) = self.memo.get(&key) {
+            return answer;
         }
         let traced = self
             .catalog
@@ -653,9 +649,7 @@ impl PhysicalMapper for DhtMapperReadView<'_> {
         self.stats.merge(traced.stats);
         self.spans.push(traced.span);
         let answer = (NodeId(traced.member), traced.hops);
-        if let (Some(memo), Some(key)) = (&mut self.memo, key) {
-            memo.insert(key, answer);
-        }
+        self.memo.insert(key, answer);
         answer
     }
 
@@ -1081,7 +1075,7 @@ mod tests {
         let mut dht = DhtMapper::build(&space, 10, 8);
         let baseline = dht.stats();
 
-        let mut view = dht.read_view(false);
+        let mut view = dht.read_view();
         let viewed = view.map_point(&space, &ideal);
         let obs = view.into_observation();
         assert_eq!(dht.stats(), baseline, "view lookups charge nothing until folded back");
@@ -1102,20 +1096,16 @@ mod tests {
         let vp = RelaxationPlacer::default().place(&circuit, &space);
         let join = circuit.unpinned_services()[0];
         let ideal = space.ideal_point(vp.coord_of(join));
-        let dht = DhtMapper::build(&space, 10, 8);
+        let mut dht = DhtMapper::build(&space, 10, 8);
+        let live = dht.map_point(&space, &ideal);
 
-        let mut plain = dht.read_view(false);
-        let a = plain.map_point(&space, &ideal);
-        let b = plain.map_point(&space, &ideal);
-        assert_eq!(plain.into_observation().stats.lookups, 2);
-
-        let mut memoized = dht.read_view(true);
+        let mut memoized = dht.read_view();
         let c = memoized.map_point(&space, &ideal);
         let d = memoized.map_point(&space, &ideal);
         let obs = memoized.into_observation();
         assert_eq!(obs.stats.lookups, 1, "second identical lookup hits the memo");
         assert_eq!(obs.spans.len(), 1);
-        assert_eq!((a, b), (c, d), "memoized answers are identical");
+        assert_eq!((c, d), (live, live), "memoized answers are the live mapper's");
     }
 
     #[test]
@@ -1137,7 +1127,7 @@ mod tests {
     fn read_view_rejects_mutation() {
         let space = figure3_space();
         let dht = DhtMapper::build(&space, 10, 8);
-        let mut view = dht.read_view(false);
+        let mut view = dht.read_view();
         view.update_node(&space, NodeId(0));
     }
 
@@ -1215,7 +1205,7 @@ mod tests {
         let mut routed =
             RoutedMapper::build_with(&space, &DhtMapperConfig::default(), ProtoConfig::default());
         let live = routed.map_point(&space, &ideal);
-        let mut view = routed.read_view(false);
+        let mut view = routed.read_view();
         assert_eq!(view.map_point(&space, &ideal), live);
         let obs = view.into_observation();
         routed.charge_stats(obs.stats);

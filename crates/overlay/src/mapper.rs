@@ -136,9 +136,9 @@ impl MapperState {
     /// serial settle points.
     pub(crate) fn read_view(&self) -> MapperReadView<'_> {
         match self {
-            MapperState::Dht(m) => MapperReadView::Dht(m.read_view(true)),
+            MapperState::Dht(m) => MapperReadView::Dht(m.read_view()),
             MapperState::Oracle(m) => MapperReadView::Oracle(m.read_view()),
-            MapperState::Routed(m) => MapperReadView::Dht(m.read_view(true)),
+            MapperState::Routed(m) => MapperReadView::Dht(m.read_view()),
         }
     }
 

@@ -39,7 +39,9 @@ use rayon::prelude::*;
 use sbon_coords::vivaldi::{LandmarkPlacer, VivaldiConfig, VivaldiEmbedding};
 use sbon_core::circuit::{Circuit, Link, Placement, ServiceId, ServicePin::Pinned};
 use sbon_core::costspace::{CostSpace, CostSpaceBuilder};
-use sbon_core::multiquery::{CircuitId, MultiQueryOptimizer, ReleaseReport, ReuseScope};
+use sbon_core::multiquery::{
+    CircuitId, CircuitRecord, MultiQueryOptimizer, ReleaseReport, ReuseScope,
+};
 use sbon_core::optimizer::{IntegratedOptimizer, OptimizerConfig, PlacedCircuit, QuerySpec};
 use sbon_core::placement::{
     MapperReadView, PhysicalMapper, ReadObservation, RelaxationPlacer, RoutedMapper,
@@ -585,20 +587,16 @@ impl RuntimeConfigBuilder {
     }
 }
 
-/// Handle to a deployed circuit.
+/// Handle to a deployed circuit: `CircuitHandle(n)` names the registry's
+/// `CircuitId(n)` (both count successful deploys).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct CircuitHandle(pub usize);
 
-/// Internal per-circuit state.
-struct Deployed {
-    handle: CircuitHandle,
-    query: QuerySpec,
-    running_plan: sbon_query::plan::LogicalPlan,
-    circuit: Circuit,
-    placement: Placement,
-    /// Registry id when the circuit was deployed through the multi-query
-    /// optimizer (`RuntimeConfig::reuse` ≠ `None`).
-    mq_id: Option<CircuitId>,
+impl CircuitHandle {
+    /// The registry id this handle names.
+    fn id(self) -> CircuitId {
+        CircuitId(self.0 as u64)
+    }
 }
 
 /// Accumulated query-lifecycle accounting: arrivals, departures, and the
@@ -657,8 +655,8 @@ enum Event {
 enum Verdict {
     /// No change: the evaluation was a no-op.
     Keep,
-    /// Local re-opt moved services: the new placement and its migrations.
-    Migrate(Placement, Vec<Migration>),
+    /// Local re-opt moved services: its migrations, in order.
+    Migrate(Vec<Migration>),
     /// A plan-replacing pass found a cheaper circuit.
     Replace(Box<PlacedCircuit>),
 }
@@ -1066,26 +1064,27 @@ fn circuit_hosts(circuit: &Circuit, placement: &Placement) -> Vec<NodeId> {
 /// evaluations shard freely across the pool.
 fn evaluate(
     kind: ReoptKind,
-    d: &Deployed,
+    d: &CircuitRecord,
     space: &CostSpace,
     view: &mut MapperReadView<'_>,
     policy: ReoptPolicy,
 ) -> Verdict {
     let placer = RelaxationPlacer::default();
+    let (circuit, placement) = (d.circuit(), d.placement());
     let running_est =
-        || d.circuit.cost_with(&d.placement, |a, b| space.vector_distance(a, b)).network_usage;
+        || circuit.cost_with(placement, |a, b| space.vector_distance(a, b)).network_usage;
     match kind {
         ReoptKind::Local => {
-            let mut placement = d.placement.clone();
-            let out = reoptimize_local(&d.circuit, &mut placement, space, &placer, view, policy);
+            let mut placement = placement.clone();
+            let out = reoptimize_local(circuit, &mut placement, space, &placer, view, policy);
             if out.migrations.is_empty() {
                 Verdict::Keep
             } else {
-                Verdict::Migrate(placement, out.migrations)
+                Verdict::Migrate(out.migrations)
             }
         }
         ReoptKind::Rewrite => {
-            let (plan, query) = (&d.running_plan, &d.query);
+            let (plan, query) = (d.plan(), d.query());
             match reoptimize_rewrite(plan, running_est(), query, space, &placer, view, policy) {
                 RewriteOutcome::Rewrite { replacement, .. } => Verdict::Replace(replacement),
                 RewriteOutcome::Keep => Verdict::Keep,
@@ -1093,7 +1092,7 @@ fn evaluate(
         }
         ReoptKind::Full => {
             let config = OptimizerConfig::default();
-            match reoptimize_full(running_est(), &d.query, space, view, config, policy) {
+            match reoptimize_full(running_est(), d.query(), space, view, config, policy) {
                 FullReoptOutcome::Replace { replacement, .. } => Verdict::Replace(replacement),
                 FullReoptOutcome::Keep => Verdict::Keep,
             }
@@ -1115,13 +1114,11 @@ pub struct OverlayRuntime {
     placer: Option<LandmarkPlacer>,
     /// Worker pool for the parallel per-tick stages; `None` runs serial.
     pool: Option<rayon::ThreadPool>,
-    circuits: Vec<Deployed>,
     rng: rand::rngs::StdRng,
     optimizer: IntegratedOptimizer,
-    /// Reuse-aware tenancy registry; `Some` iff `config.reuse` ≠ `None`.
-    /// The one owner of tenancy state: shared masks, billed links,
-    /// retained subtrees and entanglement.
-    multiquery: Option<MultiQueryOptimizer>,
+    /// The one table of deployed circuits, reuse on or off: every live and
+    /// retained circuit's query, plan, circuit, tenancy pins and placement.
+    multiquery: MultiQueryOptimizer,
     /// The single long-lived physical mapper, kept in sync with `space`.
     mapper: MapperState,
     /// Dirty tracking for re-optimization: which circuits each adaptation
@@ -1142,8 +1139,6 @@ pub struct OverlayRuntime {
     pending_failures: Vec<(f64, NodeId)>,
     /// Circuits killed because a *pinned* service (producer/consumer) died.
     failed_circuits: Vec<CircuitHandle>,
-    /// Monotonic handle counter.
-    next_handle: usize,
 }
 
 impl OverlayRuntime {
@@ -1269,10 +1264,6 @@ impl OverlayRuntime {
             // message prices a hop out of its row: keep it resident.
             lazy.ensure_rows(&[m.coordinator()], None);
         }
-        let multiquery = match config.reuse {
-            ReuseScope::None => None,
-            _ => Some(MultiQueryOptimizer::new(OptimizerConfig::default())),
-        };
         let obs = RuntimeObs::new(&config.obs);
         OverlayRuntime {
             optimizer: IntegratedOptimizer::new(OptimizerConfig::default()),
@@ -1283,9 +1274,8 @@ impl OverlayRuntime {
             space,
             placer,
             pool,
-            circuits: Vec::new(),
             rng,
-            multiquery,
+            multiquery: MultiQueryOptimizer::new(OptimizerConfig::default()),
             mapper,
             relevance: RelevanceIndex::new(),
             obs,
@@ -1294,7 +1284,6 @@ impl OverlayRuntime {
             pending_joins,
             pending_failures: Vec::new(),
             failed_circuits: Vec::new(),
-            next_handle: 0,
         }
     }
 
@@ -1338,81 +1327,80 @@ impl OverlayRuntime {
         // control-plane path can ever map onto it again.
         self.sync_mapper(node, MemberChange::Leave);
         let placer = RelaxationPlacer::default();
-        let mut evacuated = 0;
 
         // Tear down circuits whose pinned services died. Under reuse, each
         // dead circuit force-leaves the registry (its instances died with
-        // it), and the failure **cascades**: circuits subscribed to a
-        // torn-down instance lose their feed and are torn down too, as are
-        // retained shared subtrees with a service on the dead node. The
+        // it), as do the retained shared subtrees with a service on the
+        // dead node, and the failure **cascades**: circuits subscribed to a
+        // torn-down instance lose their feed and are torn down too. The
         // worklist is the registry's teardown reports, merged; `orphaned`
         // is worked through in arrival order. Broken retained subtrees are
         // read before any teardown: one that drains during the cascade was
         // still running when the node died.
         let mut cascade = ReleaseReport::default();
-        let broken = self.multiquery.as_ref().map_or_else(Vec::new, |mq| mq.retained_on(node));
-        let dead_pin = |d: &Deployed| d.circuit.services().iter().any(|s| s.pin == Pinned(node));
-        let mut idx = 0;
-        while let Some(skip) = self.circuits[idx..].iter().position(dead_pin) {
-            idx += skip;
-            let id = self.circuits[idx].mq_id;
-            self.tear_down(Some(idx), id, &mut cascade);
+        let mq = &self.multiquery;
+        let broken = mq.retained_on(node);
+        let dead_pin = |(_, rec): &(CircuitId, &CircuitRecord)| {
+            rec.circuit().services().iter().any(|s| s.pin == Pinned(node))
+        };
+        let dead: Vec<CircuitId> = mq.live().filter(dead_pin).map(|(id, _)| id).collect();
+        for id in dead {
+            self.tear_down(id, &mut cascade);
         }
-        // Broken retained subtrees: their (departed) owners join the
-        // teardown worklist.
-        cascade.orphaned.extend(broken);
+        // Broken retained subtrees go down root by root: the owner's other
+        // roots keep serving their subscribers.
+        for (id, roots) in broken {
+            if let Some(rep) = self.multiquery.teardown_roots(id, &roots) {
+                cascade.idle.extend(rep.idle);
+                cascade.orphaned.extend(rep.orphaned);
+            }
+        }
         // Cascade: tear down orphaned subscribers (and whatever their
         // teardown orphans in turn).
         let mut next = 0;
         while let Some(&id) = cascade.orphaned.get(next) {
             next += 1;
-            let pos = self.circuits.iter().position(|d| d.mq_id == Some(id));
-            self.tear_down(pos, Some(id), &mut cascade);
+            self.tear_down(id, &mut cascade);
         }
-        self.apply_idle(&cascade.idle);
+        self.mark_dirty(cascade.idle.iter().map(|&(owner, _)| owner));
 
         // Evacuate unpinned services stranded on the dead node, through the
         // same runtime-owned mapper every other control-plane path uses.
-        for d in &mut self.circuits {
-            let stranded: Vec<_> = d
-                .circuit
-                .services()
-                .iter()
-                .filter(|s| s.is_unpinned() && d.placement.node_of(s.id) == node)
-                .map(|s| s.id)
-                .collect();
+        let mut evacuations = Vec::new();
+        for (id, rec) in self.multiquery.live() {
+            let (circuit, placement) = (rec.circuit(), rec.placement());
+            let stranded = circuit.services().iter();
+            let stranded = stranded.filter(|s| s.is_unpinned() && placement.node_of(s.id) == node);
+            let stranded: Vec<ServiceId> = stranded.map(|s| s.id).collect();
             if stranded.is_empty() {
                 continue;
             }
             // Evacuation rewrites the placement: the circuit is dirty for
             // every pass kind.
-            self.relevance.mark_dirty(d.handle.0 as u64);
-            let vp = sbon_core::placement::VirtualPlacer::place(&placer, &d.circuit, &self.space);
-            for sid in stranded {
-                let ideal = self.space.ideal_point(vp.coord_of(sid));
-                let (new_node, _) = self.mapper.as_dyn().map_point(&self.space, &ideal);
-                d.placement.move_service(sid, new_node);
-                // Keep the reuse-discovery index truthful about the host.
-                if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                    mq.relocate(id, sid, new_node, &self.space);
-                }
-                evacuated += 1;
-            }
+            self.relevance.mark_dirty(id.0);
+            let vp = sbon_core::placement::VirtualPlacer::place(&placer, circuit, &self.space);
+            let moves = stranded.into_iter().map(|service| {
+                let ideal = self.space.ideal_point(vp.coord_of(service));
+                let (to, _) = self.mapper.as_dyn().map_point(&self.space, &ideal);
+                Migration { service, from: node, to }
+            });
+            evacuations.push((id, moves.collect::<Vec<_>>()));
         }
-        evacuated
+        for (id, moves) in &evacuations {
+            self.multiquery.relocate(*id, moves, &self.space);
+        }
+        evacuations.iter().map(|(_, moves)| moves.len()).sum()
     }
 
-    /// One failure-teardown step: fails the live circuit at `pos` (if
-    /// any) and force-leaves registry circuit `id` (live or retained),
-    /// queuing what that idles and orphans onto the `work` list.
-    fn tear_down(&mut self, pos: Option<usize>, id: Option<CircuitId>, work: &mut ReleaseReport) {
-        if let Some(pos) = pos {
-            let d = self.circuits.remove(pos);
-            self.failed_circuits.push(d.handle);
-            self.relevance.remove(d.handle.0 as u64);
+    /// One failure-teardown step: force-leaves registry circuit `id` (live
+    /// or retained), failing it if it was live, and queues what that idles
+    /// and orphans onto the `work` list.
+    fn tear_down(&mut self, id: CircuitId, work: &mut ReleaseReport) {
+        if self.multiquery.live_record(id).is_some() {
+            self.failed_circuits.push(CircuitHandle(id.0 as usize));
+            self.relevance.remove(id.0);
         }
-        let Some(id) = id else { return };
-        if let Some(rep) = self.multiquery.as_mut().and_then(|mq| mq.teardown(id)) {
+        if let Some(rep) = self.multiquery.teardown(id) {
             work.idle.extend(rep.idle);
             work.orphaned.extend(rep.orphaned);
         }
@@ -1441,35 +1429,30 @@ impl OverlayRuntime {
     /// (when [`RuntimeConfig::incremental_reopt`] is on) drops circuits
     /// whose re-opt inputs are unchanged since their last no-op `kind`
     /// evaluation.
-    fn dirty_circuits(&mut self, kind: ReoptKind) -> Vec<usize> {
+    fn dirty_circuits(&mut self, kind: ReoptKind) -> Vec<CircuitId> {
         let mut eval = Vec::new();
         let mut skipped = 0u64;
-        for (i, d) in self.circuits.iter().enumerate() {
-            let mq = self.multiquery.as_ref().zip(d.mq_id);
-            if kind != ReoptKind::Local && mq.is_some_and(|(mq, id)| mq.is_entangled(id)) {
+        for (id, _) in self.multiquery.live() {
+            if kind != ReoptKind::Local && self.multiquery.is_entangled(id) {
                 continue;
             }
-            if self.config.incremental_reopt && !self.relevance.is_dirty(kind, d.handle.0 as u64) {
+            if self.config.incremental_reopt && !self.relevance.is_dirty(kind, id.0) {
                 skipped += 1;
                 continue;
             }
-            eval.push(i);
+            eval.push(id);
         }
         self.obs.registry.inc(self.obs.h.reopt_skipped, skipped);
         self.obs.registry.inc(self.obs.h.reopt_evaluated, eval.len() as u64);
         eval
     }
 
-    /// Lifts the tenancy pin from instances whose last subscriber left
-    /// while their owner keeps running — they are migratable again.
-    fn apply_idle(&mut self, idle: &[(CircuitId, ServiceId)]) {
-        for &(owner, service) in idle {
-            if let Some(d) = self.circuits.iter_mut().find(|d| d.mq_id == Some(owner)) {
-                d.circuit.unpin_service(service);
-                // The unpin changes what the passes may migrate/replace.
-                self.relevance.mark_dirty(d.handle.0 as u64);
-            }
-        }
+    /// Marks circuits whose tenancy pins the registry set or lifted dirty:
+    /// a pin change changes what the passes may migrate or replace.
+    /// Circuits no longer live have no relevance entry, so marking them is
+    /// a no-op.
+    fn mark_dirty(&mut self, owners: impl IntoIterator<Item = CircuitId>) {
+        owners.into_iter().for_each(|owner| self.relevance.mark_dirty(owner.0));
     }
 
     /// The cost space (for inspection).
@@ -1632,37 +1615,19 @@ impl OverlayRuntime {
 
     /// Current instantaneous network usage: every live circuit's links,
     /// plus the links of retained shared subtrees whose owners departed but
-    /// whose subscribers remain. Under reuse the registry says which links
-    /// are billed (`sbon_core::multiquery`, "Billing rule"); a retained
-    /// subtree is priced at its owner's last placement.
+    /// whose subscribers remain. The registry says which links are billed
+    /// (`sbon_core::multiquery`, "Billing rule"); a retained subtree is
+    /// priced at its owner's last placement.
     pub fn instantaneous_usage(&self) -> f64 {
-        let price = |circuit: &Circuit, placement: &Placement, billed: Option<&[bool]>| {
-            let links = circuit.links().iter().enumerate();
+        let price = |rec: &CircuitRecord| {
+            let (placement, billed) = (rec.placement(), rec.billed());
             let pair =
                 |l: &Link| self.latency.pair(placement.node_of(l.from), placement.node_of(l.to));
-            let billed = links.filter(|&(i, _)| billed.is_none_or(|b| b[i]));
-            billed.map(|(_, l)| l.rate * pair(l)).sum::<f64>()
+            let links = rec.circuit().links().iter().enumerate();
+            links.filter(|&(i, _)| billed[i]).map(|(_, l)| l.rate * pair(l)).sum::<f64>()
         };
-        let (live, retained): (f64, f64) = match &self.multiquery {
-            // A live circuit is priced from the runtime's own circuit and
-            // placement. The registry's copies are equal (a test pins
-            // that), but reading them cold on every tick made the
-            // tenant_storm tick measurably slower. The registry lists its
-            // live records in deploy order, as `circuits` does.
-            Some(mq) => {
-                assert_eq!(mq.num_circuits(), self.circuits.len(), "one record per live circuit");
-                let live = self.circuits.iter().zip(mq.live()).map(|(d, (id, rec))| {
-                    assert_eq!(d.mq_id, Some(id), "registry and runtime agree on deploy order");
-                    price(&d.circuit, &d.placement, Some(rec.billed()))
-                });
-                let retained =
-                    mq.retained().map(|r| price(r.circuit(), r.placement(), Some(r.billed())));
-                (live.sum(), retained.sum())
-            }
-            None => {
-                (self.circuits.iter().map(|d| price(&d.circuit, &d.placement, None)).sum(), 0.0)
-            }
-        };
+        let live: f64 = self.multiquery.live().map(|(_, rec)| price(rec)).sum();
+        let retained: f64 = self.multiquery.retained().map(price).sum();
         // `+ 0.0` normalizes the empty-sum identity `-0.0` to `+0.0` (and
         // changes nothing else), so idle baselines print and compare as
         // plain zero.
@@ -1673,8 +1638,9 @@ impl OverlayRuntime {
     /// are physically mapped through the runtime-owned mapper (routed DHT
     /// lookups under the default backend). With [`RuntimeConfig::reuse`]
     /// enabled the query may attach to running operator subtrees; each
-    /// attachment subscribes to (refcounts) the instance and pins it in its
-    /// owner's circuit so re-optimization stops migrating it.
+    /// attachment subscribes to (refcounts) the instance, and the registry
+    /// pins it in its owner's circuit so re-optimization stops migrating
+    /// it.
     pub fn deploy(&mut self, query: QuerySpec) -> Option<CircuitHandle> {
         let sp = self.obs.span_start("deploy", Vec::new);
         let deployed = self.deploy_inner(query);
@@ -1694,13 +1660,26 @@ impl OverlayRuntime {
     }
 
     fn deploy_inner(&mut self, query: QuerySpec) -> Option<CircuitHandle> {
-        let (running_plan, circuit, placement, mq_id, reused) = match &mut self.multiquery {
-            Some(mq) => {
+        let mq = &mut self.multiquery;
+        let id = match self.config.reuse {
+            ReuseScope::None => {
+                let placed = self.optimizer.optimize_with_mapper(
+                    &query,
+                    &self.space,
+                    &PairReads(&self.latency),
+                    self.mapper.as_dyn(),
+                )?;
+                self.obs.registry.gauge_add(self.obs.h.marginal_usage, placed.cost.network_usage);
+                self.obs.registry.gauge_add(self.obs.h.standalone_usage, placed.cost.network_usage);
+                let (plan, circuit, placement) = (placed.plan, placed.circuit, placed.placement);
+                mq.register_alone(query, plan, circuit, placement, &self.space)
+            }
+            scope => {
                 let out = mq.optimize_and_deploy_with_mapper(
                     &query,
                     &self.space,
                     self.latency.provider(),
-                    self.config.reuse,
+                    scope,
                     self.mapper.as_dyn(),
                 )?;
                 self.obs
@@ -1713,38 +1692,17 @@ impl OverlayRuntime {
                     self.obs.registry.inc(self.obs.h.reuse_hits, 1);
                 }
                 self.obs.registry.inc(self.obs.h.reused_services, out.reused.len() as u64);
-                (out.plan, out.circuit, out.placement, Some(out.id), out.reused)
-            }
-            None => {
-                let placed = self.optimizer.optimize_with_mapper(
-                    &query,
-                    &self.space,
-                    &PairReads(&self.latency),
-                    self.mapper.as_dyn(),
-                )?;
-                self.obs.registry.gauge_add(self.obs.h.marginal_usage, placed.cost.network_usage);
-                self.obs.registry.gauge_add(self.obs.h.standalone_usage, placed.cost.network_usage);
-                (placed.plan, placed.circuit, placed.placement, None, Vec::new())
+                // The registry pinned each reused instance in its owner.
+                self.mark_dirty(out.reused.iter().map(|inst| inst.circuit));
+                out.id
             }
         };
-        // Tenancy pin: a subscribed instance is load-bearing for its new
-        // tenant, so its owner must stop migrating it.
-        for inst in &reused {
-            if let Some(owner) = self.circuits.iter_mut().find(|d| d.mq_id == Some(inst.circuit)) {
-                owner.circuit.pin_service(inst.service, inst.node);
-                // The pin changes the owner's adaptation surface.
-                self.relevance.mark_dirty(owner.handle.0 as u64);
-            }
-        }
-        let handle = CircuitHandle(self.next_handle);
-        self.next_handle += 1;
         self.obs.registry.inc(self.obs.h.arrivals, 1);
-        self.circuits.push(Deployed { handle, query, running_plan, circuit, placement, mq_id });
         // Routed backend: the deployment's mapping lookups are parked in
         // the mapper's outbox — replay them as message traffic now (the
         // routed clock carries the time forward between run ticks).
         self.settle_routed(SimTime::ZERO);
-        Some(handle)
+        Some(CircuitHandle(id.0 as usize))
     }
 
     /// Tears a circuit down — the inverse of [`OverlayRuntime::deploy`].
@@ -1754,30 +1712,25 @@ impl OverlayRuntime {
     /// Returns `false` for unknown (or already failed / undeployed)
     /// handles.
     pub fn undeploy(&mut self, handle: CircuitHandle) -> bool {
-        let Some(idx) = self.circuits.iter().position(|d| d.handle == handle) else {
+        let Some(rep) = self.multiquery.release(handle.id()) else {
             return false;
         };
-        let d = self.circuits.remove(idx);
         self.obs.registry.inc(self.obs.h.departures, 1);
         self.obs.point("undeploy", || vec![("handle", handle.0.into())]);
-        self.relevance.remove(d.handle.0 as u64);
-        if let (Some(mq), Some(mq_id)) = (&mut self.multiquery, d.mq_id) {
-            if let Some(rep) = mq.release(mq_id) {
-                self.apply_idle(&rep.idle);
-            }
-        }
+        self.relevance.remove(handle.id().0);
+        self.mark_dirty(rep.idle.iter().map(|&(owner, _)| owner));
         true
     }
 
     /// Queries currently running (the active-query gauge; retained shared
     /// subtrees of departed queries are not counted).
     pub fn active_queries(&self) -> usize {
-        self.circuits.len()
+        self.multiquery.num_circuits()
     }
 
     /// Departed circuits' shared subtrees still running for subscribers.
     pub fn retained_shared_subtrees(&self) -> usize {
-        self.multiquery.as_ref().map_or(0, MultiQueryOptimizer::num_retained)
+        self.multiquery.num_retained()
     }
 
     /// Query-lifecycle accounting so far, assembled as a view over the
@@ -1798,12 +1751,12 @@ impl OverlayRuntime {
     /// The reuse registry, when [`RuntimeConfig::reuse`] is enabled — for
     /// inspecting refcounts and instance counts.
     pub fn multiquery(&self) -> Option<&MultiQueryOptimizer> {
-        self.multiquery.as_ref()
+        (self.config.reuse != ReuseScope::None).then_some(&self.multiquery)
     }
 
     /// The current placement of a circuit. `None` after the circuit failed.
     pub fn placement(&self, handle: CircuitHandle) -> Option<&Placement> {
-        self.circuits.iter().find(|d| d.handle == handle).map(|d| &d.placement)
+        self.multiquery.live_record(handle.id()).map(CircuitRecord::placement)
     }
 
     /// Runs the simulation to the horizon, returning the usage time series.
@@ -1893,7 +1846,7 @@ impl OverlayRuntime {
                 let t_usage = WallTimer::start();
                 let usage = self.instantaneous_usage();
                 self.obs.registry.inc(self.obs.h.usage_ns, t_usage.elapsed_ns());
-                let active = self.circuits.len();
+                let active = self.multiquery.num_circuits();
                 self.obs.span_end(sp, || vec![("usage", usage.into()), ("active", active.into())]);
                 s.cumulative += usage * self.config.tick_ms / 1_000.0;
                 s.report.samples.push(Sample {
@@ -1902,7 +1855,7 @@ impl OverlayRuntime {
                     cumulative_usage: s.cumulative,
                     migrations: s.report.migrations,
                     replacements: s.report.replacements,
-                    active_queries: self.circuits.len(),
+                    active_queries: active,
                 });
                 if now.after(self.config.tick_ms) <= s.horizon {
                     s.queue.schedule(now.after(self.config.tick_ms), Event::Tick);
@@ -1949,47 +1902,44 @@ impl OverlayRuntime {
             ReoptKind::Full => ("reopt.full", self.obs.h.full_reopt_ns),
         };
         let sp = self.obs.span_start(span, Vec::new);
-        let eval_idx = self.dirty_circuits(kind);
-        let (circuits, space, mapper) = (&self.circuits, &self.space, &self.mapper);
+        let eval = self.dirty_circuits(kind);
+        let (mq, space, mapper) = (&self.multiquery, &self.space, &self.mapper);
         let policy = self.config.policy;
-        let results: Vec<(Verdict, ReadObservation)> = run_parallel(&self.pool, &eval_idx, |&i| {
+        let results: Vec<(Verdict, ReadObservation)> = run_parallel(&self.pool, &eval, |&id| {
             let mut view = mapper.read_view();
-            let verdict = evaluate(kind, &circuits[i], space, &mut view, policy);
+            let rec = mq.live_record(id).expect("an evaluated circuit is live");
+            let verdict = evaluate(kind, rec, space, &mut view, policy);
             (verdict, view.into_observation())
         });
         // Serial commit in circuit order: deferred catalog traffic, then
         // either the relevance verdict (clean record) or the mutation.
         let mut changed = 0;
-        for (&i, (verdict, obs)) in eval_idx.iter().zip(results) {
+        for (&id, (verdict, obs)) in eval.iter().zip(results) {
             self.mapper.charge_observed(&obs);
-            let d = &mut self.circuits[i];
-            let handle = d.handle.0 as u64;
             match verdict {
                 Verdict::Keep if self.config.incremental_reopt => {
-                    let hosts = circuit_hosts(&d.circuit, &d.placement);
+                    let rec =
+                        self.multiquery.live_record(id).expect("an evaluated circuit is live");
+                    let hosts = circuit_hosts(rec.circuit(), rec.placement());
                     let read = ReadSet { spans: obs.spans, hosts, whole_space: obs.whole_space };
-                    self.relevance.record_clean(kind, handle, read);
+                    self.relevance.record_clean(kind, id.0, read);
                 }
                 Verdict::Keep => {}
-                Verdict::Migrate(placement, migrations) => {
-                    d.placement = placement;
-                    // Keep the reuse-discovery index truthful about hosts.
-                    if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-                        for m in &migrations {
-                            mq.relocate(id, m.service, m.to, &self.space);
-                        }
-                    }
-                    self.relevance.mark_dirty(handle);
+                Verdict::Migrate(migrations) => {
+                    self.multiquery.relocate(id, &migrations, &self.space);
+                    self.relevance.mark_dirty(id.0);
                     changed += migrations.len();
                 }
                 Verdict::Replace(replacement) => {
-                    self.replace_plan(i, *replacement);
+                    let PlacedCircuit { plan, circuit, placement, .. } = *replacement;
+                    self.multiquery.reregister(id, plan, circuit, placement, &self.space);
+                    self.relevance.mark_dirty(id.0);
                     changed += 1;
                 }
             }
         }
         self.obs.registry.inc(timer, t0.elapsed_ns());
-        let evaluated = eval_idx.len();
+        let evaluated = eval.len();
         let (label, count, penalty) = match kind {
             ReoptKind::Local => {
                 ("migrations", &mut report.migrations, self.config.migration_penalty)
@@ -1999,22 +1949,6 @@ impl OverlayRuntime {
         self.obs.span_end(sp, || vec![("evaluated", evaluated.into()), (label, changed.into())]);
         *count += changed;
         report.adaptation_cost += changed as f64 * penalty;
-    }
-
-    /// Swaps circuit `i` onto a replacement plan — the commit of both plan
-    /// rewriting and full re-optimization ("a new parallel circuit is
-    /// deployed, cancelling the original").
-    fn replace_plan(&mut self, i: usize, replacement: PlacedCircuit) {
-        let d = &mut self.circuits[i];
-        d.running_plan = replacement.plan;
-        d.circuit = replacement.circuit;
-        d.placement = replacement.placement;
-        // The swap invalidates the old registration; the replacement's
-        // operators take its place.
-        if let (Some(mq), Some(id)) = (&mut self.multiquery, d.mq_id) {
-            mq.reregister(id, &d.circuit, &d.placement, &self.space);
-        }
-        self.relevance.mark_dirty(d.handle.0 as u64);
     }
 
     /// One tick of environment dynamics. Cost-point maintenance is
@@ -2170,6 +2104,11 @@ mod tests {
         QuerySpec::join_star(&[hosts[0], hosts[10], hosts[20], hosts[30]], hosts[40], 10.0, 0.02)
     }
 
+    /// The registry record of a live circuit.
+    fn record(rt: &OverlayRuntime, handle: CircuitHandle) -> &CircuitRecord {
+        rt.multiquery.live_record(handle.id()).expect("a live circuit")
+    }
+
     #[test]
     fn deploy_and_run_produces_samples() {
         let topo = small_world(1);
@@ -2315,9 +2254,9 @@ mod tests {
                 );
                 let handle = rt.deploy(demo_query(&topo))?;
                 let placement = rt.placement(handle)?.clone();
-                let d = &rt.circuits[0];
+                let d = record(&rt, handle);
                 let pinned: Vec<NodeId> = d
-                    .circuit
+                    .circuit()
                     .services()
                     .iter()
                     .filter_map(|s| match s.pin {
@@ -2326,7 +2265,7 @@ mod tests {
                     })
                     .collect();
                 let victim = d
-                    .circuit
+                    .circuit()
                     .unpinned_services()
                     .iter()
                     .map(|&sid| placement.node_of(sid))
@@ -2387,11 +2326,11 @@ mod tests {
         let q = demo_query(&topo);
         let sources_before: Vec<_> = q.join_set.clone();
         let handle = rt.deploy(q).unwrap();
-        let plan_before = rt.circuits[0].running_plan.clone();
+        let plan_before = record(&rt, handle).plan().clone();
         let report = rt.run();
         // Whether or not a rewrite fired (churn-dependent), the running plan
         // must still cover exactly the original sources.
-        let plan_after = &rt.circuits[0].running_plan;
+        let plan_after = record(&rt, handle).plan();
         let mut srcs = plan_after.sources();
         srcs.sort();
         let mut expect = sources_before;
@@ -2862,28 +2801,26 @@ mod tests {
             },
         );
         let q = demo_query(&topo);
-        rt.deploy(q.clone()).unwrap();
-        let owner_unpinned_before = rt.circuits[0].circuit.unpinned_services();
+        let a = rt.deploy(q.clone()).unwrap();
+        let owner_unpinned_before = record(&rt, a).circuit().unpinned_services();
         assert!(!owner_unpinned_before.is_empty(), "owner operators start unpinned");
         let b = rt.deploy(q).unwrap();
         // The subscribed instance is pinned in the owner's circuit...
         assert!(
-            rt.circuits[0].circuit.unpinned_services().len() < owner_unpinned_before.len(),
+            record(&rt, a).circuit().unpinned_services().len() < owner_unpinned_before.len(),
             "subscription must pin the reused instance"
         );
         // ...and the borrower's shared subtree is fully pinned (phantoms
         // co-located with the instance: no phantom migrations possible).
-        let borrower = &rt.circuits[1];
-        let mq = rt.multiquery().unwrap();
-        let shared = mq.record(borrower.mq_id.unwrap()).unwrap().shared();
-        for (idx, &is_shared) in shared.iter().enumerate() {
+        let borrower = record(&rt, b);
+        for (idx, &is_shared) in borrower.shared().iter().enumerate() {
             if is_shared {
-                assert!(!borrower.circuit.service(ServiceId(idx as u32)).is_unpinned());
+                assert!(!borrower.circuit().service(ServiceId(idx as u32)).is_unpinned());
             }
         }
         assert!(rt.undeploy(b));
         assert_eq!(
-            rt.circuits[0].circuit.unpinned_services(),
+            record(&rt, a).circuit().unpinned_services(),
             owner_unpinned_before,
             "draining the refcount must lift the tenancy pin"
         );
@@ -2913,8 +2850,8 @@ mod tests {
         assert_eq!(rt.lifecycle_stats().reuse_hits, 1);
         // Find the shared instance's host: the node the borrower's reused
         // root is pinned at (an operator host, not a producer/consumer).
-        let pinned_ops: Vec<NodeId> = rt.circuits[1]
-            .circuit
+        let pinned_ops: Vec<NodeId> = record(&rt, b)
+            .circuit()
             .services()
             .iter()
             .filter(|s| matches!(s.kind, sbon_core::circuit::ServiceKind::Operator { .. }))
@@ -2940,6 +2877,63 @@ mod tests {
         assert_eq!(mq.num_instances(), 0, "no stale instance may serve future reuse");
         assert_eq!(mq.total_subscriptions(), 0);
         assert_eq!(mq.num_retained(), 0);
+        assert_eq!(rt.instantaneous_usage(), 0.0);
+    }
+
+    /// A failure breaks only the retained roots it hits: owner O (a 3-way
+    /// join) departs while S1 subscribes to its lower join and S2 to its
+    /// top join; the top join's host dies. S2 loses its feed, but S1's
+    /// subtree still runs, so S1 survives and the lower join stays retained.
+    #[test]
+    fn failure_of_one_retained_root_spares_the_others() {
+        use sbon_core::circuit::ServiceKind::{Operator, Producer};
+        let topo = small_world(36);
+        let mut rt = OverlayRuntime::new(
+            &topo,
+            36,
+            RuntimeConfig {
+                horizon_ms: 4_000.0,
+                churn: ChurnProcess::None,
+                reopt_interval_ms: None,
+                reuse: ReuseScope::All,
+                ..Default::default()
+            },
+        );
+        let hosts = topo.host_candidates();
+        let q = QuerySpec::join_star(&[hosts[0], hosts[10], hosts[20]], hosts[40], 10.0, 0.02);
+        let o = rt.deploy(q.clone()).unwrap();
+        // O's joins, bottom-up (construction is post-order).
+        let circuit = rt.multiquery().unwrap().record(CircuitId(o.0 as u64)).unwrap().circuit();
+        let joins = circuit.services().iter();
+        let joins: Vec<ServiceId> =
+            joins.filter(|s| matches!(s.kind, Operator { .. })).map(|s| s.id).collect();
+        assert_eq!(joins.len(), 2, "a 3-way join star has a lower and a top join");
+        // S1 joins exactly the lower join's streams; S2 asks what O asked.
+        let stream = |c: ServiceId| match circuit.service(c).kind {
+            Producer(stream) => stream,
+            _ => panic!("the lower join reads two producers"),
+        };
+        let lower = circuit.children(joins[0]).into_iter().map(stream).collect();
+        let s1 = QuerySpec { join_set: lower, consumer: hosts[50], ..q.clone() };
+        let top = rt.placement(o).unwrap().node_of(joins[1]);
+        let s1 = rt.deploy(s1).unwrap();
+        let s2 = rt.deploy(QuerySpec { consumer: hosts[60], ..q }).unwrap();
+        assert_eq!(rt.lifecycle_stats().reused_services, 2, "S1 and S2 each attach to O");
+        assert_ne!(rt.placement(o).unwrap().node_of(joins[0]), top, "the joins run apart");
+        let s1_hosts = rt.placement(s1).unwrap().as_slice();
+        assert!(!s1_hosts.contains(&top), "S1 runs nothing on the top join's host");
+        assert!(rt.undeploy(o));
+        assert_eq!(rt.retained_shared_subtrees(), 1);
+        rt.schedule_failure(1_500.0, top);
+        rt.run();
+        assert_eq!(rt.failed_circuits(), &[s2]);
+        assert!(rt.placement(s1).is_some(), "S1's feed survived the failure");
+        assert_eq!(rt.retained_shared_subtrees(), 1, "the lower join stays retained for S1");
+        assert!(rt.instantaneous_usage() > 0.0);
+        // S1's departure drains what is left.
+        assert!(rt.undeploy(s1));
+        let mq = rt.multiquery().unwrap();
+        assert_eq!((mq.num_retained(), mq.num_instances(), mq.total_subscriptions()), (0, 0, 0));
         assert_eq!(rt.instantaneous_usage(), 0.0);
     }
 
@@ -2986,18 +2980,8 @@ mod tests {
         assert_eq!(mq.num_instances(), instances_before);
     }
 
-    /// The registry's placement of every live circuit equals the runtime's.
-    fn assert_registry_placements(rt: &OverlayRuntime) {
-        let mq = rt.multiquery().expect("reuse registry active");
-        for d in &rt.circuits {
-            let rec = mq.record(d.mq_id.unwrap()).expect("a live circuit is registered");
-            assert_eq!(Some(rec.placement()), rt.placement(d.handle));
-        }
-    }
-
-    /// Under reuse, usage prices links from the registry's copy of the
-    /// placement, so that copy must follow every path that moves a service:
-    /// local migrations, failure evacuation and plan swaps. A retained
+    /// Under reuse, every path that moves a service runs — local
+    /// migrations, failure evacuation and plan swaps — and a retained
     /// subtree is then priced at its owner's last placement.
     #[test]
     fn registry_placements_follow_every_move_under_reuse() {
@@ -3024,37 +3008,34 @@ mod tests {
         let solo = QuerySpec::join_star(&[hosts[50], hosts[55], hosts[60]], hosts[65], 10.0, 0.02);
         rt.deploy(solo).unwrap();
         assert_eq!(rt.lifecycle_stats().reuse_hits, 1);
-        assert_registry_placements(&rt);
         let owner_at_deploy = rt.placement(owner).unwrap().clone();
 
         let mut session = rt.start_run();
         let mut evacuated = 0;
         while rt.advance_ticks(&mut session, 1) {
-            assert_registry_placements(&rt);
             if session.ticks_done() != 10 {
                 continue;
             }
             // Fail a host of one of the owner's unpinned operators that no
             // circuit pins: the operator is evacuated, nothing is torn down.
             let pinned: Vec<NodeId> = rt
-                .circuits
-                .iter()
-                .flat_map(|d| d.circuit.services().iter())
+                .multiquery
+                .live()
+                .flat_map(|(_, d)| d.circuit().services().iter())
                 .filter_map(|s| match s.pin {
                     Pinned(n) => Some(n),
                     _ => None,
                 })
                 .collect();
-            let d = rt.circuits.iter().find(|d| d.handle == owner).unwrap();
+            let d = record(&rt, owner);
             let victim = d
-                .circuit
+                .circuit()
                 .unpinned_services()
                 .into_iter()
-                .map(|sid| d.placement.node_of(sid))
+                .map(|sid| d.placement().node_of(sid))
                 .find(|n| !pinned.contains(n))
                 .expect("an owner operator on an unpinned host");
             evacuated = rt.fail_node(victim);
-            assert_registry_placements(&rt);
         }
         let report = rt.finish_run(session);
         assert!(evacuated > 0);
@@ -3064,8 +3045,8 @@ mod tests {
 
         // The owner departs while its subscriber runs: the subscribed
         // subtree is retained at the owner's last placement.
-        let d = rt.circuits.iter().find(|d| d.handle == owner).unwrap();
-        let (circuit, last, id) = (d.circuit.clone(), d.placement.clone(), d.mq_id.unwrap());
+        let d = record(&rt, owner);
+        let (circuit, last, id) = (d.circuit().clone(), d.placement().clone(), owner.id());
         assert_ne!(last, owner_at_deploy, "the evacuation moved the owner");
         let mq = rt.multiquery().unwrap();
         let mut in_subtree = vec![false; circuit.len()];
@@ -3115,22 +3096,19 @@ mod tests {
                 ..Default::default()
             },
         );
-        rt.deploy(demo_query(&topo)).unwrap();
-        let deployed_plan = rt.circuits[0].running_plan.render();
+        let handle = rt.deploy(demo_query(&topo)).unwrap();
+        let deployed_plan = record(&rt, handle).plan().render();
         let report = rt.run();
         assert!(report.replacements > 0);
-        let d = &rt.circuits[0];
-        let rebuilt = Circuit::from_plan(
-            &d.running_plan,
-            &d.query.stats,
-            |s| d.query.producer_of(s),
-            d.query.consumer,
-        );
-        assert_eq!(rebuilt.services(), d.circuit.services());
-        assert_eq!(rebuilt.links(), d.circuit.links());
+        let d = record(&rt, handle);
+        let query = d.query();
+        let rebuilt =
+            Circuit::from_plan(d.plan(), &query.stats, |s| query.producer_of(s), query.consumer);
+        assert_eq!(rebuilt.services(), d.circuit().services());
+        assert_eq!(rebuilt.links(), d.circuit().links());
         // The case must replace the plan itself, not only its placement,
         // or the check above would hold trivially.
-        assert_ne!(d.running_plan.render(), deployed_plan);
+        assert_ne!(d.plan().render(), deployed_plan);
     }
 
     /// The session API: a run can be advanced tick-by-tick with mid-run
